@@ -9,6 +9,7 @@ reload bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,16 @@ def save_checkpoint(
     arrays = {name: getattr(params, name) for name in _ARRAY_FIELDS}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+    # write beside the target and rename, so an interrupted save never
+    # leaves a partial file under the final name
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, Hyperparams, dict]:
@@ -68,11 +77,30 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Hyperparams, dict]:
             arrays = {name: archive[name] for name in _ARRAY_FIELDS}
     except (OSError, KeyError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    version = meta.get("format_version")
+    version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version!r}")
+    try:
+        hp = Hyperparams.from_dict(meta["hyperparams"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad hyperparameters in checkpoint {path}: {exc}") from exc
     params = ModelParams(**arrays)
-    hp = Hyperparams.from_dict(meta["hyperparams"])
+    E, R, n, m = params.n_entities, params.n_relations, hp.n, hp.m
+    want = {
+        "entity_emb": (E, n),
+        "relation_emb": (R, n),
+        "concept_tensor": (m, n, n),
+        "head_scores": (R, m),
+        "tail_scores": (R, m),
+        "head_assign": (R, m),
+        "tail_assign": (R, m),
+    }
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"checkpoint {path}: {name} has shape {arrays[name].shape}, expected {shape} "
+                f"for {E} entities, {R} relations, n={n}, m={m}"
+            )
     return params, hp, meta
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -87,10 +88,15 @@ def _coerce(key: str, value):
     if isinstance(value, str) and value.lower() == "none":
         return None
     if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+        kind, want = int, "an integer"
+    elif key in _FLOAT_KEYS:
+        kind, want = float, "a number"
+    else:
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"{key} must be {want}, got {value!r}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -110,9 +116,13 @@ def read_config_file(path: str | Path) -> dict:
     return out
 
 
+def _config_text(resolved: dict) -> str:
+    """The flat key=value form that :func:`read_config_file` reads back."""
+    return "".join(f"{k}={'' if resolved[k] is None else resolved[k]}\n" for k in sorted(resolved))
+
+
 def write_config_file(path: Path, resolved: dict) -> None:
-    lines = [f"{k}={'' if resolved[k] is None else resolved[k]}" for k in sorted(resolved)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(_config_text(resolved), encoding="utf-8")
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -159,10 +169,6 @@ def _require_data_dir(resolved: dict) -> Path:
 
 def _load_store(resolved: dict) -> tuple[TripleStore, Vocab]:
     return load_dataset(_require_data_dir(resolved))
-
-
-def _config_text(resolved: dict) -> str:
-    return "\n".join(f"{k}={'' if resolved[k] is None else resolved[k]}" for k in sorted(resolved))
 
 
 def _default_out(resolved: dict, kind: str) -> Path:
@@ -220,7 +226,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = resolve_options(args)
     hyperparams_from(resolved)  # validate before any work
     if args.dry_run:
-        print(_config_text(resolved))
+        print(_config_text(resolved), end="")
         return EXIT_OK
     store, vocab = _load_store(resolved)
     out_dir = Path(resolved["out"]) if resolved["out"] else _default_out(resolved, "train")
@@ -313,15 +319,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(row)
         print(f"sweep {args.axis}={raw_value}: {row.get('error') or 'ok'}")
 
-    import csv as _csv
-
     header = ["value", "mean_rank", "hits_at_10"]
     if args.axis == "mode":
         header.append("epoch_seconds")
     header.append("error")
     sweep_path = out_dir / "sweep.csv"
     with sweep_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([row.get(k, "") for k in header])

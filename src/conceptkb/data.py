@@ -182,10 +182,6 @@ class TripleStore:
     tph: np.ndarray
     hpt: np.ndarray
 
-    def relation_frequency(self, r: int) -> int:
-        rows = self.by_relation.get(r)
-        return 0 if rows is None else len(rows)
-
     def train_relations(self) -> list[int]:
         return sorted(self.by_relation)
 
@@ -286,9 +282,6 @@ class FrequencyBins:
     @property
     def n_bins(self) -> int:
         return len(self.boundaries) - 1
-
-    def relations_in(self, b: int) -> list[int]:
-        return sorted(r for r, rb in self.bin_of_relation.items() if rb == b)
 
 
 def bins_from_frequencies(freqs: dict[int, float], n_bins: int = 3) -> FrequencyBins:

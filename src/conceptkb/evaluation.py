@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import FrequencyBins, TripleStore, Vocab
-from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, composed_matrix
+from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
 
 HITS_CUTOFF = 10
+_ENERGY_BLOCK = 4096  # candidate rows per block of energies
 
 
 @dataclass
@@ -73,69 +74,71 @@ class EvalReport:
         )
 
 
-class _Scorer:
-    """Candidate energies with per-relation projected-entity caching."""
+def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str, others: np.ndarray):
+    """Yield, for each fixed entity of ``others``, the energies of all |E|
+    substitutions on ``side`` of relation r.
 
-    def __init__(self, params: ModelParams, hp: Hyperparams):
-        self.params = params
-        self.hp = hp
-        self._head_proj: dict[int, np.ndarray] = {}
-        self._tail_proj: dict[int, np.ndarray] = {}
-
-    def _projected(self, r: int, side: str) -> np.ndarray:
-        cache = self._head_proj if side == SIDE_HEAD else self._tail_proj
-        got = cache.get(r)
-        if got is None:
-            if self.hp.model == "transe":
-                got = self.params.entity_emb
+    The projected entity table of ``side`` lives only while the generator
+    runs; the fixed entities are projected one at a time, so an energy does
+    not depend on which other queries share the call.
+    """
+    ent = params.entity_emb
+    rv = params.relation_emb[r]
+    if hp.model == "transe":
+        table = ent
+        w_other = None
+    else:
+        other_side = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
+        table = ent @ compose(params, hp, side, [r])[2][0].T
+        w_other = compose(params, hp, other_side, [r])[2][0]
+    for o in others.tolist():
+        p = ent[o] if w_other is None else w_other @ ent[o]
+        fixed = rv - p if side == SIDE_HEAD else p + rv
+        out = np.empty(len(table))
+        # candidates in blocks: the temporary stays small and is reused
+        # from the heap instead of faulting in a table-sized one per query
+        for lo in range(0, len(table), _ENERGY_BLOCK):
+            block = table[lo:lo + _ENERGY_BLOCK]
+            buf = np.add(block, fixed) if side == SIDE_HEAD else np.subtract(fixed, block)
+            if hp.ell == 1:
+                np.abs(buf, out=buf)
             else:
-                w = composed_matrix(self.params, self.hp, r, side)
-                got = self.params.entity_emb @ w.T
-            cache[r] = got
-        return got
-
-    def candidate_energies(self, r: int, side: str, other: int) -> np.ndarray:
-        """Energies of all |E| substitutions on ``side`` with the other
-        entity fixed."""
-        rv = self.params.relation_emb[r]
-        if side == SIDE_HEAD:
-            fixed = rv - self._projected(r, SIDE_TAIL)[other]
-            buf = np.add(self._projected(r, SIDE_HEAD), fixed)
-        else:
-            fixed = self._projected(r, SIDE_HEAD)[other] + rv
-            buf = np.subtract(fixed, self._projected(r, SIDE_TAIL))
-        # single temporary, mutated in place: this path runs once per query
-        # over all |E| candidates
-        if self.hp.ell == 1:
-            np.abs(buf, out=buf)
-            return buf.sum(axis=1)
-        buf *= buf
-        out = buf.sum(axis=1)
-        np.sqrt(out, out=out)
-        return out
+                buf *= buf
+            buf.sum(axis=1, out=out[lo:lo + _ENERGY_BLOCK])
+        if hp.ell == 2:
+            np.sqrt(out, out=out)
+        yield out
 
 
-def _filter_sets(store: TripleStore):
-    """known (h, r) -> tails and (r, t) -> heads over all three splits."""
-    known_tails: dict[tuple[int, int], list[int]] = {}
-    known_heads: dict[tuple[int, int], list[int]] = {}
-    for h, r, t in store.all_known:
-        known_tails.setdefault((h, r), []).append(t)
-        known_heads.setdefault((r, t), []).append(h)
-    return known_heads, known_tails
+def _known(store: TripleStore, r: int) -> np.ndarray:
+    """Known triples of relation r across the three splits."""
+    return np.concatenate([s[s[:, 1] == r] for s in (store.train, store.valid, store.test)])
 
 
-def _rank_from_energies(
-    energies: np.ndarray, true_id: int, exclude: np.ndarray | None
-) -> int:
-    e_true = energies[true_id]
-    competitors = energies < e_true
-    ties = energies == e_true
-    ties[true_id:] = False
-    competitors |= ties
-    if exclude is not None and len(exclude):
-        competitors[exclude] = False
-    return 1 + int(competitors.sum())
+def _rank_side(
+    params: ModelParams,
+    hp: Hyperparams,
+    r: int,
+    side: str,
+    triples: np.ndarray,
+    known: np.ndarray | None,
+) -> list[int]:
+    """Ranks of the true ``side`` entity of every triple of relation r.
+
+    ``known`` holds the relation's known triples for filtering, or None for
+    raw ranks.
+    """
+    true_col, other_col = (0, 2) if side == SIDE_HEAD else (2, 0)
+    ranks = []
+    energies = _candidate_energies(params, hp, r, side, triples[:, other_col])
+    for (true_id, other), e in zip(triples[:, [true_col, other_col]].tolist(), energies):
+        e_true = e[true_id]
+        ahead = e < e_true
+        ahead[:true_id] |= e[:true_id] == e_true
+        if known is not None:
+            ahead[known[known[:, other_col] == other, true_col]] = False
+        ranks.append(1 + int(ahead.sum()))
+    return ranks
 
 
 def rank_query(
@@ -145,20 +148,11 @@ def rank_query(
     store: TripleStore,
     hp: Hyperparams,
     filtered: bool = True,
-    _scorer: _Scorer | None = None,
-    _filters=None,
 ) -> int:
     """Filtered (or raw) rank of the true entity for one query."""
     h, r, t = (int(x) for x in triple)
-    scorer = _scorer or _Scorer(params, hp)
-    true_id, other = (h, t) if side == SIDE_HEAD else (t, h)
-    energies = scorer.candidate_energies(r, side, other)
-    exclude = None
-    if filtered:
-        known_heads, known_tails = _filters if _filters is not None else _filter_sets(store)
-        others = known_heads.get((r, t), ()) if side == SIDE_HEAD else known_tails.get((h, r), ())
-        exclude = np.array([e for e in others if e != true_id], dtype=np.int64)
-    return _rank_from_energies(energies, true_id, exclude)
+    known = _known(store, r) if filtered else None
+    return _rank_side(params, hp, r, side, np.array([[h, r, t]], dtype=np.int64), known)[0]
 
 
 def evaluate(
@@ -173,9 +167,11 @@ def evaluate(
 ) -> EvalReport:
     """Rank every triple of ``split`` on the requested side(s) and aggregate.
 
-    Mean rank and hits@10 weight every query equally; the optional per-bin
-    table averages the per-relation hits@10 inside each frequency bin, so
-    every relation counts once regardless of its test frequency.
+    Queries are ranked one relation at a time, so at most one projected
+    entity table per worker is alive.  Mean rank and hits@10 weight every
+    query equally; the optional per-bin table averages the per-relation
+    hits@10 inside each frequency bin, so every relation counts once
+    regardless of its test frequency.
     """
     split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
     sides = {
@@ -183,32 +179,24 @@ def evaluate(
         SIDE_HEAD: (SIDE_HEAD,),
         SIDE_TAIL: (SIDE_TAIL,),
     }[direction]
-    scorer = _Scorer(params, hp)
-    filters = _filter_sets(store) if filtered else None
 
-    queries = [(tuple(row), side) for row in split.tolist() for side in sides]
+    def rank_relation(r: int) -> tuple[np.ndarray, list[list[int]]]:
+        rows = np.flatnonzero(split[:, 1] == r)
+        known = _known(store, r) if filtered else None
+        return rows, [_rank_side(params, hp, r, side, split[rows], known) for side in sides]
 
-    def run(chunk):
-        return [
-            rank_query(trip, side, params, store, hp, filtered, _scorer=scorer, _filters=filters)
-            for trip, side in chunk
-        ]
-
-    if workers > 1 and len(queries) > 1:
-        # shard deterministically; the per-relation projection cache is
-        # filled under the hood and reused across threads
-        chunks = [queries[i::workers] for i in range(workers)]
+    relations = np.unique(split[:, 1]).tolist()
+    if workers > 1 and len(relations) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-        ranks_list = [None] * len(queries)
-        for i, chunk in enumerate(chunks):
-            for j, val in enumerate(parts[i]):
-                ranks_list[i + j * workers] = val
-        ranks = np.array(ranks_list, dtype=np.int64)
+            groups = list(pool.map(rank_relation, relations))
     else:
-        ranks = np.array(run(queries), dtype=np.int64)
-
-    rels = np.array([int(trip[1]) for trip, _ in queries], dtype=np.int64)
+        groups = [rank_relation(r) for r in relations]
+    # ranks[i, j]: row i of the split on side j
+    ranks = np.zeros((len(split), len(sides)), dtype=np.int64)
+    for rows, side_ranks in groups:
+        ranks[rows] = np.array(side_ranks, dtype=np.int64).T
+    ranks = ranks.ravel()
+    rels = np.repeat(split[:, 1], len(sides))
     hits = ranks <= HITS_CUTOFF
 
     per_relation: dict[int, RelationMetrics] = {}

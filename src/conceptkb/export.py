@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,46 +21,6 @@ from .model import AttentionSnapshot
 
 class ExportError(ValueError):
     """Bad export request (unknown relation names, mismatched binning)."""
-
-
-@dataclass
-class HeatmapData:
-    """Attention heatmap rows: one label per (relation, side), m weights each."""
-
-    labels: list[str]
-    weights: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.weights.shape[1]
-
-
-def heatmap_data(
-    snapshot: AttentionSnapshot,
-    vocab: Vocab,
-    relations: list[str] | None = None,
-) -> HeatmapData:
-    """Interleaved head/tail attention rows for the named relations (all by
-    default); unknown names raise with the list of valid ones."""
-    if relations is None:
-        rel_ids = list(range(snapshot.n_relations))
-    else:
-        rel_ids = []
-        for name in relations:
-            if name not in vocab.relation_index:
-                valid = ", ".join(vocab.relation_names)
-                raise ExportError(f"unknown relation {name!r}; valid relations: {valid}")
-            rel_ids.append(vocab.relation_index[name])
-    labels = []
-    rows = []
-    for r in rel_ids:
-        name = vocab.relation_names[r]
-        labels.append(f"{name}(H)")
-        rows.append(snapshot.head[r])
-        labels.append(f"{name}(T)")
-        rows.append(snapshot.tail[r])
-    weights = np.array(rows) if rows else np.zeros((0, snapshot.m))
-    return HeatmapData(labels=labels, weights=weights)
 
 
 def _fmt(x) -> str:

@@ -12,7 +12,7 @@ and identity slices recover plain translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -81,19 +81,7 @@ class Hyperparams:
         return self.epochs // 2 if self.block_stop is None else self.block_stop
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "k": self.k,
-            "gamma": self.gamma, "tau": self.tau, "ell": self.ell,
-            "lr": self.lr, "batch_size": self.batch_size, "epochs": self.epochs,
-            "block_every": self.block_every, "block_stop": self.block_stop,
-            "init_noise_sd": self.init_noise_sd,
-            "sampling_mode": self.sampling_mode,
-            "domain_lambda": self.domain_lambda,
-            "domain_side_rule": self.domain_side_rule,
-            "attention_mode": self.attention_mode,
-            "l1_coef": self.l1_coef, "proj_penalty": self.proj_penalty,
-            "model": self.model, "block_budget": self.block_budget,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
@@ -274,7 +262,8 @@ def project(alpha: np.ndarray, concept_tensor: np.ndarray, e: np.ndarray) -> np.
 
 
 def attention_vector(params: ModelParams, hp: Hyperparams, r: int, side: str) -> np.ndarray:
-    """Attention weights of one relation side under the current mode.
+    """Attention weights of one relation side under the current mode; the
+    scalar reference for :func:`attention`, used by the scalar energies.
 
     sparse:   softmax over the assignment support
     dense:    softmax over all m concepts
@@ -288,13 +277,60 @@ def attention_vector(params: ModelParams, hp: Hyperparams, r: int, side: str) ->
     return np.maximum(scores, 0.0)
 
 
-def composed_matrix(params: ModelParams, hp: Hyperparams, r: int, side: str) -> np.ndarray:
-    """Materialize the (n, n) projection matrix of one relation side."""
-    alpha = attention_vector(params, hp, r, side)
-    (active,) = np.nonzero(alpha)
-    if len(active) == 0:
-        return np.zeros((params.n, params.n))
-    return np.tensordot(alpha[active], params.concept_tensor[active], axes=(0, 0))
+def attention(
+    params: ModelParams, hp: Hyperparams, side: str, rels: np.ndarray | None = None
+) -> np.ndarray:
+    """Attention rows of one side for ``rels`` (all relations by default).
+
+    One masked softmax over the ``(len(rels), m)`` scores: the mask is the
+    support in sparse mode and all ones in dense mode; dense_l1 returns the
+    raw weights clipped at zero.  Like :func:`sparse_softmax`, raises on an
+    empty support.
+    """
+    rows = slice(None) if rels is None else rels
+    scores = params.scores(side)[rows]
+    if hp.attention_mode == "dense_l1":
+        return np.maximum(scores, 0.0)
+    if hp.attention_mode == "dense":
+        z = scores / hp.tau
+    else:
+        mask = params.assign(side)[rows] != 0
+        if not mask.any(axis=1).all():
+            raise ValueError("support has no active entries")
+        z = np.where(mask, scores / hp.tau, -np.inf)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def compose(
+    params: ModelParams, hp: Hyperparams, side: str, rels
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Compose the ``side`` projections of the relations in ``rels``.
+
+    Returns ``(act, weights, W)``.  ``act`` (U, c) holds each relation's
+    concepts of nonzero attention in ascending order; ``c`` is the widest
+    row's count, and shorter rows are padded with concepts of zero weight.
+    ``weights`` (U, c) is their attention and ``W`` the list of the U
+    ``(n, n)`` projections.  In sparse mode each costs c n^2 (c is at most
+    the support size); the dense modes contract all m concepts at once.
+    """
+    alpha = attention(params, hp, side, np.asarray(rels, dtype=np.int64))
+    zero = alpha == 0
+    c = int((~zero).sum(axis=1).max(initial=0))
+    act = np.argsort(zero, axis=1, kind="stable")[:, :c]
+    weights = np.take_along_axis(alpha, act, axis=1)
+    D = params.concept_tensor
+    if hp.attention_mode != "sparse":
+        return act, weights, list(np.tensordot(alpha, D, axes=(1, 0)))
+    # one small array per relation: faster than a stacked gather, and the
+    # heap reuses it batch after batch
+    W = []
+    for idx, w in zip(act.tolist(), weights.tolist()):
+        proj = D[idx[0]] * w[0]
+        for i, wi in zip(idx[1:], w[1:]):
+            proj += D[i] * wi
+        W.append(proj)
+    return act, weights, W
 
 
 def vec_norm(u: np.ndarray, ell: int) -> float:
@@ -372,10 +408,6 @@ class AttentionSnapshot:
 
 def attention_snapshot(params: ModelParams, hp: Hyperparams) -> AttentionSnapshot:
     """Collect every relation's attention vectors under the current mode."""
-    n_rel, m = params.n_relations, params.m
-    head = np.zeros((n_rel, m))
-    tail = np.zeros((n_rel, m))
-    for r in range(n_rel):
-        head[r] = attention_vector(params, hp, r, SIDE_HEAD)
-        tail[r] = attention_vector(params, hp, r, SIDE_TAIL)
-    return AttentionSnapshot(head=head, tail=tail)
+    return AttentionSnapshot(
+        head=attention(params, hp, SIDE_HEAD), tail=attention(params, hp, SIDE_TAIL)
+    )

@@ -12,6 +12,7 @@ draws never dominate.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,12 @@ class DomainSampler:
         for r in self.store.by_relation:
             p[r] = domain_probability(self.store, r, self.lam)
         self.p_r = p
+
+    def reseeded(self, rng: np.random.Generator) -> "DomainSampler":
+        """A sampler with the same probabilities that draws from ``rng``."""
+        out = copy.copy(self)
+        out.rng = rng
+        return out
 
 
 def _head_probability(store: TripleStore, r: int) -> float:
@@ -124,6 +131,8 @@ def corrupt_batch(
 ) -> np.ndarray:
     """Vectorized corruption of a (B, 3) batch; same distribution as
     :func:`corrupt`, independent draw stream."""
+    if store.n_entities < 2:
+        raise ValueError("cannot corrupt triples with fewer than two entities")
     triples = np.asarray(triples)
     B = len(triples)
     rng = sampler.rng

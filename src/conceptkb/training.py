@@ -25,8 +25,7 @@ from .model import (
     SIDE_TAIL,
     Hyperparams,
     ModelParams,
-    attention_vector,
-    composed_matrix,
+    compose,
     init_params,
     single_matrix_energy,
 )
@@ -56,49 +55,11 @@ def _norm_grad(u: np.ndarray, norms: np.ndarray, ell: int) -> np.ndarray:
     return np.where(norms[:, None] > 0, u / safe[:, None], 0.0)
 
 
-@dataclass
-class _RelationCtx:
-    """Per-batch cache for one relation: support, attention, projector."""
-
-    rows: np.ndarray            # batch positions using this relation
-    act_h: np.ndarray           # active head concept indices
-    act_t: np.ndarray
-    alpha_h: np.ndarray         # attention over act_h
-    alpha_t: np.ndarray
-    w_h: np.ndarray             # (n, n) materialized projectors
-    w_t: np.ndarray
-
-
-def _relation_contexts(params: ModelParams, hp: Hyperparams, rels: np.ndarray) -> dict[int, _RelationCtx]:
-    ctxs: dict[int, _RelationCtx] = {}
+def _relation_groups(rels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Unique relations of a batch and, for each, its ascending row positions."""
     uniq, inv = np.unique(rels, return_inverse=True)
-    D = params.concept_tensor
-    for u, r in enumerate(uniq):
-        r = int(r)
-        ah_full = attention_vector(params, hp, r, SIDE_HEAD)
-        at_full = attention_vector(params, hp, r, SIDE_TAIL)
-        act_h = np.nonzero(ah_full)[0]
-        act_t = np.nonzero(at_full)[0]
-        w_h = (
-            np.tensordot(ah_full[act_h], D[act_h], axes=(0, 0))
-            if len(act_h)
-            else np.zeros((params.n, params.n))
-        )
-        w_t = (
-            np.tensordot(at_full[act_t], D[act_t], axes=(0, 0))
-            if len(act_t)
-            else np.zeros((params.n, params.n))
-        )
-        ctxs[r] = _RelationCtx(
-            rows=np.nonzero(inv == u)[0],
-            act_h=act_h,
-            act_t=act_t,
-            alpha_h=ah_full[act_h],
-            alpha_t=at_full[act_t],
-            w_h=w_h,
-            w_t=w_t,
-        )
-    return ctxs
+    order = np.argsort(inv, kind="stable")
+    return uniq, np.split(order, np.cumsum(np.bincount(inv))[:-1])
 
 
 def _forward(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray):
@@ -106,7 +67,7 @@ def _forward(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndar
 
     Returns everything both the loss and the gradients need: projected
     entities, norm subgradient inputs, hinge activity, penalty slacks, and
-    the per-relation contexts.
+    the batch's relation groups with their composed projections.
     """
     pos = np.asarray(pos, dtype=np.int64).reshape(-1, 3)
     neg = np.asarray(neg, dtype=np.int64).reshape(-1, 3)
@@ -116,19 +77,20 @@ def _forward(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndar
     eh, et, eh2, et2 = ent[h], ent[t], ent[h2], ent[t2]
 
     translating = hp.model == "transe"
+    uniq, groups = _relation_groups(r)
     if translating:
-        ctxs = {}
+        comp = None
         ph, pt, ph2, pt2 = eh, et, eh2, et2
     else:
-        ctxs = _relation_contexts(params, hp, r)
+        comp = (compose(params, hp, SIDE_HEAD, uniq), compose(params, hp, SIDE_TAIL, uniq))
+        (_, _, w_h), (_, _, w_t) = comp
         ph = np.empty_like(eh)
         pt = np.empty_like(et)
         ph2 = np.empty_like(eh2)
         pt2 = np.empty_like(et2)
-        for rr, ctx in ctxs.items():
-            idx = ctx.rows
-            heads = np.concatenate([eh[idx], eh2[idx]]) @ ctx.w_h.T
-            tails = np.concatenate([et[idx], et2[idx]]) @ ctx.w_t.T
+        for u, idx in enumerate(groups):
+            heads = np.concatenate([eh[idx], eh2[idx]]) @ w_h[u].T
+            tails = np.concatenate([et[idx], et2[idx]]) @ w_t[u].T
             b = len(idx)
             ph[idx], ph2[idx] = heads[:b], heads[b:]
             pt[idx], pt2[idx] = tails[:b], tails[b:]
@@ -156,12 +118,12 @@ def _forward(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndar
         q_t = 2.0 * hp.proj_penalty * pt * (slack_t > 0)[:, None]
 
     if hp.attention_mode == "dense_l1" and not translating:
-        for rr, ctx in ctxs.items():
+        for rr, idx in zip(uniq.tolist(), groups):
             weight_mass = np.abs(params.head_scores[rr]).sum() + np.abs(params.tail_scores[rr]).sum()
-            loss += hp.l1_coef * weight_mass * len(ctx.rows)
+            loss += hp.l1_coef * weight_mass * len(idx)
 
     return {
-        "pos": pos, "neg": neg, "ctxs": ctxs, "loss": loss,
+        "pos": pos, "neg": neg, "uniq": uniq, "groups": groups, "comp": comp, "loss": loss,
         "eh": eh, "et": et, "eh2": eh2, "et2": et2,
         "ph": ph, "pt": pt,
         "u_pos": u_pos, "u_neg": u_neg, "e_pos": e_pos, "e_neg": e_neg,
@@ -174,6 +136,24 @@ def batch_loss(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.nd
     return _forward(params, hp, pos, neg)["loss"]
 
 
+def _accumulate(acc: dict[int, np.ndarray], act: np.ndarray, weights: np.ndarray, s: np.ndarray) -> None:
+    """Add ``weight * s`` to the gradient of every concept of nonzero weight."""
+    for i, w in zip(act.tolist(), weights.tolist()):
+        if w:
+            if i in acc:
+                acc[i] += w * s
+            else:
+                acc[i] = w * s
+
+
+def _score_gradient(D, act, weights, s, tau: float, m: int) -> np.ndarray:
+    """Gradient of one side's pre-softmax scores through its softmax."""
+    a_act = np.einsum("ijk,jk->i", D[act], s)
+    g = np.zeros(m)
+    g[act] = weights / tau * (a_act - weights @ a_act)
+    return g
+
+
 def batch_gradients(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray):
     """Subgradients of :func:`batch_loss` w.r.t. the dense partition.
 
@@ -182,7 +162,7 @@ def batch_gradients(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: 
     ``head_scores`` / ``tail_scores`` as {relation: (m,)}.
     """
     fw = _forward(params, hp, pos, neg)
-    pos, neg, ctxs = fw["pos"], fw["neg"], fw["ctxs"]
+    pos, neg = fw["pos"], fw["neg"]
     h, r, t = pos[:, 0], pos[:, 1], pos[:, 2]
     h2, t2 = neg[:, 0], neg[:, 2]
     active = fw["active"]
@@ -193,90 +173,60 @@ def batch_gradients(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: 
     coef_h = g_pos if q_h is None else g_pos + q_h         # multiplies h rows
     coef_t = -g_pos if q_t is None else -g_pos + q_t       # multiplies t rows
 
-    translating = hp.model == "transe"
-    n = params.n
-    if translating:
+    concept: dict[int, np.ndarray] = {}
+    head_scores: dict[int, np.ndarray] = {}
+    tail_scores: dict[int, np.ndarray] = {}
+    if fw["comp"] is None:
         gh, gt, gh2, gt2 = coef_h, coef_t, -g_neg, g_neg
     else:
         gh = np.empty_like(coef_h)
         gt = np.empty_like(coef_t)
         gh2 = np.empty_like(g_neg)
         gt2 = np.empty_like(g_neg)
-        for rr, ctx in ctxs.items():
-            idx = ctx.rows
-            heads = np.concatenate([coef_h[idx], -g_neg[idx]]) @ ctx.w_h
-            tails = np.concatenate([coef_t[idx], g_neg[idx]]) @ ctx.w_t
+        D = params.concept_tensor
+        eh, et, eh2, et2 = fw["eh"], fw["et"], fw["eh2"], fw["et2"]
+        (act_h, alpha_h, w_h), (act_t, alpha_t, w_t) = fw["comp"]
+        for u, (rr, idx) in enumerate(zip(fw["uniq"].tolist(), fw["groups"])):
+            coef_heads = np.concatenate([coef_h[idx], -g_neg[idx]])
+            coef_tails = np.concatenate([coef_t[idx], g_neg[idx]])
+            heads = coef_heads @ w_h[u]
+            tails = coef_tails @ w_t[u]
             b = len(idx)
             gh[idx], gh2[idx] = heads[:b], heads[b:]
             gt[idx], gt2[idx] = tails[:b], tails[b:]
 
+            s_head = coef_heads.T @ np.concatenate([eh[idx], eh2[idx]])
+            s_tail = coef_tails.T @ np.concatenate([et[idx], et2[idx]])
+            _accumulate(concept, act_h[u], alpha_h[u], s_head)
+            _accumulate(concept, act_t[u], alpha_t[u], s_tail)
+            if hp.attention_mode == "dense_l1":
+                l1 = hp.l1_coef * b
+                head_scores[rr] = (
+                    np.einsum("ijk,jk->i", D, s_head) + l1 * np.sign(params.head_scores[rr])
+                )
+                tail_scores[rr] = (
+                    np.einsum("ijk,jk->i", D, s_tail) + l1 * np.sign(params.tail_scores[rr])
+                )
+            else:
+                head_scores[rr] = _score_gradient(D, act_h[u], alpha_h[u], s_head, hp.tau, params.m)
+                tail_scores[rr] = _score_gradient(D, act_t[u], alpha_t[u], s_tail, hp.tau, params.m)
+
     ids = np.concatenate([h, t, h2, t2])
     vecs = np.concatenate([gh, gt, gh2, gt2])
     uids, uinv = np.unique(ids, return_inverse=True)
-    ent_acc = np.zeros((len(uids), n))
+    ent_acc = np.zeros((len(uids), params.n))
     np.add.at(ent_acc, uinv, vecs)
 
-    rvecs = g_pos - g_neg
-    urel = np.unique(r)
-    rel_acc = np.zeros((len(urel), n))
-    np.add.at(rel_acc, np.searchsorted(urel, r), rvecs)
+    rel_acc = np.zeros((len(fw["uniq"]), params.n))
+    np.add.at(rel_acc, np.searchsorted(fw["uniq"], r), g_pos - g_neg)
 
     grads = {
         "entity": (uids, ent_acc),
-        "relation": (urel, rel_acc),
-        "concept": {},
-        "head_scores": {},
-        "tail_scores": {},
+        "relation": (fw["uniq"], rel_acc),
+        "concept": concept,
+        "head_scores": head_scores,
+        "tail_scores": tail_scores,
     }
-    if translating:
-        return fw["loss"], grads
-
-    D = params.concept_tensor
-    eh, et, eh2, et2 = fw["eh"], fw["et"], fw["eh2"], fw["et2"]
-    concept_acc: dict[int, np.ndarray] = grads["concept"]
-    for rr, ctx in ctxs.items():
-        idx = ctx.rows
-        s_head = (
-            np.concatenate([coef_h[idx], -g_neg[idx]]).T
-            @ np.concatenate([eh[idx], eh2[idx]])
-        )
-        s_tail = (
-            np.concatenate([coef_t[idx], g_neg[idx]]).T
-            @ np.concatenate([et[idx], et2[idx]])
-        )
-        for a, i in enumerate(ctx.act_h):
-            i = int(i)
-            g = ctx.alpha_h[a] * s_head
-            if i in concept_acc:
-                concept_acc[i] += g
-            else:
-                concept_acc[i] = g
-        for a, i in enumerate(ctx.act_t):
-            i = int(i)
-            g = ctx.alpha_t[a] * s_tail
-            if i in concept_acc:
-                concept_acc[i] += g
-            else:
-                concept_acc[i] = g
-
-        if hp.attention_mode == "dense_l1":
-            a_head = np.einsum("ijk,jk->i", D, s_head)
-            a_tail = np.einsum("ijk,jk->i", D, s_tail)
-            l1 = hp.l1_coef * len(idx)
-            grads["head_scores"][rr] = a_head + l1 * np.sign(params.head_scores[rr])
-            grads["tail_scores"][rr] = a_tail + l1 * np.sign(params.tail_scores[rr])
-        else:
-            gv_h = np.zeros(params.m)
-            gv_t = np.zeros(params.m)
-            if len(ctx.act_h):
-                a_act = np.einsum("ijk,jk->i", D[ctx.act_h], s_head)
-                gv_h[ctx.act_h] = ctx.alpha_h / hp.tau * (a_act - ctx.alpha_h @ a_act)
-            if len(ctx.act_t):
-                a_act = np.einsum("ijk,jk->i", D[ctx.act_t], s_tail)
-                gv_t[ctx.act_t] = ctx.alpha_t / hp.tau * (a_act - ctx.alpha_t @ a_act)
-            grads["head_scores"][rr] = gv_h
-            grads["tail_scores"][rr] = gv_t
-
     return fw["loss"], grads
 
 
@@ -286,6 +236,8 @@ def apply_gradients(params: ModelParams, hp: Hyperparams, grads: dict) -> None:
     Rows whose step is exactly zero are left alone: they are already unit
     norm from the previous step, so skipping keeps null updates bitwise
     null instead of churning last bits through a redundant renormalize.
+    A stepped row whose norm is not finite (an overflowing step) raises
+    :class:`TrainingError` before any parameter changes.
     """
     lr = hp.lr
     uids, ent_acc = grads["entity"]
@@ -293,9 +245,14 @@ def apply_gradients(params: ModelParams, hp: Hyperparams, grads: dict) -> None:
     moved = np.any(delta != 0.0, axis=1)
     if moved.any():
         uids = uids[moved]
-        params.entity_emb[uids] -= delta[moved]
-        rows = params.entity_emb[uids]
+        rows = params.entity_emb[uids] - delta[moved]
         nrm = np.linalg.norm(rows, axis=1, keepdims=True)
+        bad = np.flatnonzero(~np.isfinite(nrm[:, 0]))
+        if len(bad):
+            raise TrainingError(
+                f"entity row {int(uids[bad[0]])} has norm {float(nrm[bad[0], 0])!r} after "
+                f"a step (lr={hp.lr}); lower the learning rate"
+            )
         nrm[nrm == 0] = 1.0
         params.entity_emb[uids] = rows / nrm
 
@@ -323,7 +280,6 @@ class TrainState:
     sampler: DomainSampler
     epoch: int = 0
     running_loss: float = 0.0
-    next_block_epoch: int = 0
 
 
 def make_state(
@@ -341,7 +297,6 @@ def make_state(
         rng=rng,
         block_rng=np.random.default_rng(block_child),
         sampler=DomainSampler(store, hp.domain_lambda, rng),
-        next_block_epoch=hp.block_every if _block_updates_enabled(hp) else 0,
     )
 
 
@@ -386,11 +341,14 @@ def _block_pairs(
     hp: Hyperparams,
     budget: int | None,
     seed: int,
+    sampler: DomainSampler | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive/corrupted pairs used to score relation r's concepts.
 
     The draw depends on (seed, r, side) only, never on the concept index,
-    so every concept is scored on identical pairs.
+    so every concept is scored on identical pairs.  ``sampler`` supplies
+    the domain probabilities (built from ``store`` when omitted); its own
+    generator is not used.
     """
     rows = store.by_relation.get(r)
     if rows is None or len(rows) == 0:
@@ -399,8 +357,9 @@ def _block_pairs(
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0 if side == SIDE_HEAD else 1]))
     if budget is not None and len(rows) > budget:
         rows = rows[rng.choice(len(rows), size=budget, replace=False)]
-    sampler = DomainSampler(store, hp.domain_lambda, rng)
-    neg = corrupt_batch(rows, store, hp.sampling_mode, sampler, hp.domain_side_rule)
+    if sampler is None:
+        sampler = DomainSampler(store, hp.domain_lambda)
+    neg = corrupt_batch(rows, store, hp.sampling_mode, sampler.reseeded(rng), hp.domain_side_rule)
     return rows, neg
 
 
@@ -436,15 +395,16 @@ def _side_costs(
     params: ModelParams,
     hp: Hyperparams,
     seed: int,
+    sampler: DomainSampler,
 ) -> np.ndarray | None:
     """All m single-concept costs of one relation side, vectorized."""
-    pos, neg = _block_pairs(store, r, side, hp, hp.block_budget, seed)
+    pos, neg = _block_pairs(store, r, side, hp, hp.block_budget, seed, sampler)
     if len(pos) == 0:
         return None
     ent = params.entity_emb
     D = params.concept_tensor
     other = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
-    w_other = composed_matrix(params, hp, r, other)
+    w_other = compose(params, hp, other, [r])[2][0]
     rv = params.relation_emb[r]
     if side == SIDE_HEAD:
         fixed_pos = rv - ent[pos[:, 2]] @ w_other.T
@@ -477,11 +437,12 @@ def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed:
     (a simultaneous update), and ties keep the lower concept index.
     Relations absent from training keep their current supports.
     """
+    sampler = DomainSampler(store, hp.domain_lambda)
     new_head: dict[int, np.ndarray] = {}
     new_tail: dict[int, np.ndarray] = {}
     for r in store.by_relation:
         for side, out in ((SIDE_HEAD, new_head), (SIDE_TAIL, new_tail)):
-            costs = _side_costs(store, r, side, params, hp, seed)
+            costs = _side_costs(store, r, side, params, hp, seed, sampler)
             if costs is None:
                 continue
             out[r] = np.sort(np.argsort(costs, kind="stable")[: hp.k])
@@ -536,7 +497,6 @@ def train(
         ):
             bseed = int(state.block_rng.integers(2**31))
             block_update(state.params, store, hp, seed=bseed)
-            state.next_block_epoch = epoch + hp.block_every
             history["block_updates"].append({"epoch": epoch, "seed": bseed})
 
         if eval_every and eval_split is not None and len(eval_split) and epoch % eval_every == 0:

@@ -309,3 +309,11 @@ class TestConfigFile:
         cfg.write_text("nonsense=1\n", encoding="utf-8")
         with pytest.raises(Exception):
             read_config_file(cfg)
+
+    def test_non_numeric_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n=abc\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--dry-run"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "n must be an integer" in err and "'abc'" in err
+        assert "Traceback" not in err

@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import _synth
 from conceptkb.data import bin_relations, build_store
 from conceptkb.evaluation import (
-    _Scorer,
     evaluate,
     load_report,
     per_relation_csv,
@@ -71,20 +72,19 @@ class TestEvaluate:
     def test_memorizing_scorer_is_perfect(self, monkeypatch, tiny_store, tiny_params, tiny_hp):
         known = tiny_store.all_known
 
-        class Oracle(_Scorer):
+        def oracle(params, hp, r, side, others):
             """Forces energy 0 on known-true triples and 1 elsewhere."""
-
-            def candidate_energies(self, r, side, other):
+            for other in others.tolist():
                 out = np.ones(tiny_store.n_entities)
                 for c in range(tiny_store.n_entities):
                     cand = (c, r, other) if side == "head" else (other, r, c)
                     if cand in known:
                         out[c] = 0.0
-                return out
+                yield out
 
         import conceptkb.evaluation as ev
 
-        monkeypatch.setattr(ev, "_Scorer", Oracle)
+        monkeypatch.setattr(ev, "_candidate_energies", oracle)
         report = evaluate(tiny_store.train, tiny_params, tiny_hp, tiny_store)
         assert report.hits_at_10 == 100.0
         assert report.mean_rank == 1.0
@@ -106,6 +106,26 @@ class TestEvaluate:
         serial = evaluate(tiny_store.test, tiny_params, tiny_hp, tiny_store, workers=1)
         threaded = evaluate(tiny_store.test, tiny_params, tiny_hp, tiny_store, workers=4)
         assert serial.to_dict() == threaded.to_dict()
+
+    def test_peak_memory_does_not_grow_with_relations(self):
+        """Ranking keeps one relation's projected entity table at a time, so
+        the peak of a call over many relations stays within a few tables
+        (with every table kept it would be one per relation side)."""
+        n_entities, n_relations, n = 2000, 40, 32
+        store = _synth.random_kb(3, n_entities=n_entities, n_relations=n_relations,
+                                 n_train=4000, n_valid=0, n_test=0)
+        split = np.array([store.train[store.train[:, 1] == r][0] for r in range(n_relations)])
+        hp = Hyperparams(n=n, m=6, k=2, epochs=1)
+        params = init_params(n_entities, n_relations, hp, seed=4)
+        table = n_entities * n * 8
+        evaluate(split[:2], params, hp, store)  # warm up lazily allocated state
+        tracemalloc.start()
+        try:
+            evaluate(split, params, hp, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * table, f"peak {peak / table:.1f} tables"
 
     def test_per_relation_counts(self, tiny_store, tiny_params, tiny_hp):
         report = evaluate(tiny_store.test, tiny_params, tiny_hp, tiny_store)

@@ -7,9 +7,10 @@ from conceptkb.model import (
     AttentionSnapshot,
     Hyperparams,
     InitError,
+    attention,
     attention_snapshot,
     attention_vector,
-    composed_matrix,
+    compose,
     energy_itransf,
     energy_stranse,
     energy_transe,
@@ -333,11 +334,75 @@ class TestAttentionSnapshot:
         np.testing.assert_allclose(snap.head.sum(axis=1), 1.0, atol=1e-9)
 
 
+MODES = ("sparse", "dense", "dense_l1")
+
+
+def mode_params(tiny_params, mode):
+    """The tiny fixture under ``mode``, with relation 1's head support cut
+    to one concept so that supports are ragged (one-hot next to two-hot)."""
+    hp = Hyperparams(n=5, m=4, k=2, tau=0.5, epochs=1, attention_mode=mode)
+    params = tiny_params.copy()
+    params.head_assign[1] = 0
+    params.head_assign[1, 2] = 1
+    if mode == "dense_l1":
+        # some weights clip to zero, which leaves the rows ragged as well
+        params.head_scores[:] -= 0.3
+        params.tail_scores[:] -= 0.3
+    return hp, params
+
+
+class TestAttention:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_match_scalar_oracle(self, tiny_params, mode):
+        hp, params = mode_params(tiny_params, mode)
+        for side in ("head", "tail"):
+            rows = attention(params, hp, side)
+            assert rows.shape == (params.n_relations, params.m)
+            for r in range(params.n_relations):
+                np.testing.assert_allclose(
+                    rows[r], attention_vector(params, hp, r, side), rtol=1e-15, atol=1e-15
+                )
+            subset = attention(params, hp, side, np.array([2, 0]))
+            np.testing.assert_array_equal(subset, rows[[2, 0]])
+
+    def test_empty_support_raises(self, tiny_params, tiny_hp):
+        params = tiny_params.copy()
+        params.tail_assign[1] = 0
+        with pytest.raises(ValueError, match="no active"):
+            attention(params, tiny_hp, "tail")
+        with pytest.raises(ValueError, match="no active"):
+            attention(params, tiny_hp, "tail", np.array([1]))
+        attention(params, tiny_hp, "tail", np.array([0, 2]))  # other rows are fine
+
+
 class TestComposedMatrix:
     def test_matches_naive_combination(self, tiny_params, tiny_hp):
+        _, _, W = compose(tiny_params, tiny_hp, "head", range(tiny_params.n_relations))
         for r in range(tiny_params.n_relations):
             alpha = attention_vector(tiny_params, tiny_hp, r, "head")
             naive = np.einsum("i,ijk->jk", alpha, tiny_params.concept_tensor)
-            np.testing.assert_allclose(
-                composed_matrix(tiny_params, tiny_hp, r, "head"), naive, atol=1e-12
-            )
+            np.testing.assert_allclose(W[r], naive, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_with_ragged_supports(self, tiny_params, mode):
+        hp, params = mode_params(tiny_params, mode)
+        rels = np.array([2, 1, 0, 1])
+        for side in ("head", "tail"):
+            act, weights, W = compose(params, hp, side, rels)
+            assert act.shape == weights.shape == (len(rels), act.shape[1])
+            assert len(W) == len(rels)
+            for u, r in enumerate(rels):
+                alpha = attention_vector(params, hp, r, side)
+                naive = np.einsum("i,ijk->jk", alpha, params.concept_tensor)
+                np.testing.assert_allclose(W[u], naive, rtol=1e-12, atol=1e-12)
+                # the nonzero weights lead in ascending concept order; the
+                # padding has zero weight and repeats no concept
+                nz = np.flatnonzero(alpha)
+                np.testing.assert_array_equal(act[u, :len(nz)], nz)
+                np.testing.assert_array_equal(weights[u], alpha[act[u]])
+                assert not weights[u, len(nz):].any()
+                assert len(set(act[u].tolist())) == act.shape[1]
+        if mode == "sparse":
+            act, weights, _ = compose(params, hp, "head", rels)
+            assert act.shape[1] == 2  # c comes from the widest support
+            assert weights[1, 1] == 0.0 and weights[1, 0] == 1.0  # one-hot row is padded

@@ -57,6 +57,12 @@ class TestCorrupt:
             assert (h, r, t) != (0, 0, 1)
             assert (h, t) in ((1, 1), (0, 0))  # one side flipped to the only other entity
 
+    def test_batch_with_one_entity_raises(self):
+        store = make_store([[0, 0, 0]])
+        sampler = DomainSampler(store, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="two entities"):
+            corrupt_batch(np.array([[0, 0, 0]]), store, "uniform", sampler)
+
     def test_corrupted_always_differs(self, tiny_store):
         sampler = DomainSampler(tiny_store, rng=np.random.default_rng(1))
         for mode in ("uniform", "bernoulli", "domain"):

@@ -5,6 +5,7 @@ import _synth
 from conceptkb.model import Hyperparams, init_params
 from conceptkb.training import (
     TrainingError,
+    apply_gradients,
     batch_gradients,
     batch_loss,
     block_update,
@@ -197,6 +198,22 @@ class TestSgdEpoch:
         with pytest.raises(TrainingError, match="non-finite"):
             sgd_epoch(state, tiny_store, tiny_hp)
 
+    def test_overflowing_step_raises_and_leaves_parameters(self, tiny_store, tiny_hp):
+        state = make_state(tiny_store, tiny_hp, seed=3)
+        before = state.params.copy()
+        # finite entries whose row norm overflows: dividing by it would
+        # silently zero the row
+        rows = np.zeros((2, tiny_hp.n))
+        rows[1] = -1e307 / tiny_hp.lr
+        grads = {
+            "entity": (np.array([2, 5]), rows),
+            "relation": (np.zeros(0, dtype=np.int64), np.zeros((0, tiny_hp.n))),
+            "concept": {}, "head_scores": {}, "tail_scores": {},
+        }
+        with pytest.raises(TrainingError, match="entity row 5"):
+            apply_gradients(state.params, tiny_hp, grads)
+        np.testing.assert_array_equal(state.params.entity_emb, before.entity_emb)
+
     def test_dense_l1_weights_stay_nonnegative(self, tiny_store):
         hp = Hyperparams(n=5, m=3, k=1, gamma=1.0, ell=2, lr=0.2, batch_size=4,
                          epochs=1, attention_mode="dense_l1", l1_coef=0.05,
@@ -270,6 +287,32 @@ class TestBlockUpdate:
             assert (state.params.head_assign.sum(axis=1) <= tiny_hp.k).all()
             assert (state.params.head_assign.sum(axis=1) >= 1).all()
             assert (state.params.tail_assign.sum(axis=1) <= tiny_hp.k).all()
+
+    def test_domain_sampling_built_once_and_bottom_k(self, monkeypatch, tiny_store, tiny_hp):
+        """The domain probabilities are computed once per update, and the
+        pairs drawn with them are those the scalar cost oracle draws."""
+        import conceptkb.training as training
+
+        builds = []
+
+        class Counting(training.DomainSampler):
+            def __post_init__(self):
+                builds.append(1)
+                super().__post_init__()
+
+        hp = tiny_hp.with_updates(sampling_mode="domain", domain_lambda=0.5)
+        state = make_state(tiny_store, hp, seed=6)
+        snapshot = state.params.copy()
+        monkeypatch.setattr(training, "DomainSampler", Counting)
+        block_update(state.params, tiny_store, hp, seed=13)
+        assert len(builds) == 1
+        monkeypatch.undo()
+        for r in tiny_store.by_relation:
+            for side, assign in (("head", state.params.head_assign), ("tail", state.params.tail_assign)):
+                costs = [single_matrix_cost(side, r, i, tiny_store, snapshot, hp, budget=None, seed=13)
+                         for i in range(hp.m)]
+                expected = np.sort(np.argsort(costs, kind="stable")[: hp.k])
+                np.testing.assert_array_equal(np.nonzero(assign[r])[0], expected)
 
     def test_tie_breaks_to_lower_index(self, tiny_store):
         # identity concepts with zero noise: all single-matrix costs equal
