@@ -42,7 +42,7 @@ EXIT_RUNTIME = 4
 # per-dataset hyperparameter defaults for the two benchmark corpora
 DATASET_DEFAULTS = {
     "wn18": {"gamma": 5.0, "n": 50, "batch_size": 20, "lr": 0.01, "m": 30},
-    "fb15k": {"gamma": 1.0, "n": 100, "batch_size": 1000, "lr": 0.1, "m": 300},
+    "fb15k": {"gamma": 1.0, "n": 100, "batch_size": 1000, "lr": 0.01, "m": 300},
 }
 
 _HP_KEYS = (
@@ -161,6 +161,11 @@ def hyperparams_from(resolved: dict) -> Hyperparams:
         raise UsageError(str(exc)) from exc
 
 
+def _workers(resolved: dict) -> int:
+    """Evaluation thread count; 0 means every core."""
+    return resolved["workers"] or (os.cpu_count() or 1)
+
+
 def _require_data_dir(resolved: dict) -> Path:
     if not resolved.get("data_dir"):
         raise UsageError(f"no data directory given (use --data-dir or ${ENV_DATA_DIR})")
@@ -213,6 +218,7 @@ def _run_training(resolved: dict, store: TripleStore, vocab: Vocab, out_dir: Pat
                 early_stop_patience=resolved["early_stop_patience"],
                 log_fn=log_fn,
                 on_epoch=on_epoch,
+                workers=_workers(resolved),
             )
     finally:
         log_fh.close()
@@ -247,7 +253,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if len(split) == 0:
         raise DataError(f"split {args.split!r} is empty")
     bins = bin_relations(store, args.bins) if args.bins else None
-    workers = resolved["workers"] if resolved["workers"] else (os.cpu_count() or 1)
     report = evaluate(
         split,
         params,
@@ -256,7 +261,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         direction=args.direction,
         filtered=not args.raw,
         bins=bins,
-        workers=workers,
+        workers=_workers(resolved),
     )
     out_dir = Path(args.out) if args.out else Path("eval_out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +304,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run["out"] = str(run_dir)
         try:
             params, hp, history = _run_training(run, store, vocab, run_dir)
-            report = evaluate(store.test if len(store.test) else store.valid, params, hp, store)
+            split = store.test if len(store.test) else store.valid
+            report = evaluate(split, params, hp, store, workers=_workers(run))
             row = {
                 "value": raw_value,
                 "mean_rank": report.mean_rank,

@@ -10,6 +10,11 @@ unit length after every optimizer step.
 Energies of projected vectors are additionally kept near the unit ball by
 a hinged penalty on the squared projected norms, since the projected
 vectors are derived quantities rather than stored parameters.
+
+A batch is stable-sorted by relation once, so each relation's pairs form
+one contiguous slice that is projected and differentiated with a few
+matmuls.  Gradients come back in one format for every parameter array:
+the sorted unique ids of the touched rows and their gradient rows.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ def hinge_loss(pos_energy: float, neg_energy: float, gamma: float) -> float:
 
 def _norms(u: np.ndarray, ell: int) -> np.ndarray:
     if ell == 1:
-        return np.abs(u).sum(axis=1)
-    return np.sqrt((u * u).sum(axis=1))
+        return np.abs(u).sum(axis=-1)
+    return np.sqrt((u * u).sum(axis=-1))
 
 
 def _norm_grad(u: np.ndarray, norms: np.ndarray, ell: int) -> np.ndarray:
@@ -52,82 +57,70 @@ def _norm_grad(u: np.ndarray, norms: np.ndarray, ell: int) -> np.ndarray:
     if ell == 1:
         return np.sign(u)
     safe = np.where(norms > 0, norms, 1.0)
-    return np.where(norms[:, None] > 0, u / safe[:, None], 0.0)
+    return np.where(norms[..., None] > 0, u / safe[..., None], 0.0)
 
 
-def _relation_groups(rels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unique relations of a batch and, for each, its ascending row positions."""
-    uniq, inv = np.unique(rels, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    return uniq, np.split(order, np.cumsum(np.bincount(inv))[:-1])
+def _slices(bounds: np.ndarray):
+    """``(j, start, end)`` of every relation slice of the sorted batch."""
+    return zip(range(len(bounds) - 1), bounds[:-1].tolist(), bounds[1:].tolist())
 
 
 def _forward(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray):
     """Shared forward pass over a batch of (positive, corrupted) pairs.
 
-    Returns everything both the loss and the gradients need: projected
-    entities, norm subgradient inputs, hinge activity, penalty slacks, and
-    the batch's relation groups with their composed projections.
+    The pairs are stable-sorted by relation once (``order``), so relation
+    ``uniq[j]`` owns the slice ``bounds[j]:bounds[j + 1]`` of every per-pair
+    array, and ``slot`` holds each sorted pair's ``j``.  ``ids`` (2, 2, B)
+    and the gathered rows ``x`` (2, 2, B, n) hold the head side, then the
+    tail side, each as positives then corrupted partners; ``p`` holds the
+    projections of ``x`` in the same layout, ``u`` (2, B, n) the positive
+    and corrupted difference vectors.
     """
     pos = np.asarray(pos, dtype=np.int64).reshape(-1, 3)
     neg = np.asarray(neg, dtype=np.int64).reshape(-1, 3)
-    h, r, t = pos[:, 0], pos[:, 1], pos[:, 2]
-    h2, t2 = neg[:, 0], neg[:, 2]
-    ent = params.entity_emb
-    eh, et, eh2, et2 = ent[h], ent[t], ent[h2], ent[t2]
+    order = np.argsort(pos[:, 1], kind="stable")
+    r = pos[order, 1]
+    uniq, starts, slot = np.unique(r, return_index=True, return_inverse=True)
+    bounds = np.append(starts, len(order))
+    ids = np.stack([pos[order], neg[order]])[..., [0, 2]].transpose(2, 0, 1)
+    x = params.entity_emb[ids]
+    n = params.n
 
-    translating = hp.model == "transe"
-    uniq, groups = _relation_groups(r)
-    if translating:
-        comp = None
-        ph, pt, ph2, pt2 = eh, et, eh2, et2
+    comp = None
+    if hp.model == "transe":
+        p = x
     else:
         comp = (compose(params, hp, SIDE_HEAD, uniq), compose(params, hp, SIDE_TAIL, uniq))
-        (_, _, w_h), (_, _, w_t) = comp
-        ph = np.empty_like(eh)
-        pt = np.empty_like(et)
-        ph2 = np.empty_like(eh2)
-        pt2 = np.empty_like(et2)
-        for u, idx in enumerate(groups):
-            heads = np.concatenate([eh[idx], eh2[idx]]) @ w_h[u].T
-            tails = np.concatenate([et[idx], et2[idx]]) @ w_t[u].T
-            b = len(idx)
-            ph[idx], ph2[idx] = heads[:b], heads[b:]
-            pt[idx], pt2[idx] = tails[:b], tails[b:]
+        p = np.empty_like(x)
+        for j, s, e in _slices(bounds):
+            for side, (_, _, W) in enumerate(comp):
+                p[side, :, s:e] = (x[side, :, s:e].reshape(-1, n) @ W[j].T).reshape(2, -1, n)
 
-    rv = params.relation_emb[r]
-    u_pos = ph + rv - pt
-    u_neg = ph2 + rv - pt2
-    e_pos = _norms(u_pos, hp.ell)
-    e_neg = _norms(u_neg, hp.ell)
-    margins = hp.gamma + e_pos - e_neg
+    u = p[0] + params.relation_emb[r] - p[1]
+    energies = _norms(u, hp.ell)
+    margins = hp.gamma + energies[0] - energies[1]
     active = margins > 0
     # maximum() propagates NaN energies into the loss so the caller's
     # finite check can abort with diagnostics
     loss = float(np.maximum(margins, 0.0).sum())
 
     # hinged penalty keeping projected positive entities near unit norm
-    q_h = q_t = None
-    if hp.proj_penalty > 0 and not translating:
-        slack_h = (ph * ph).sum(axis=1) - 1.0
-        slack_t = (pt * pt).sum(axis=1) - 1.0
+    q = None
+    if hp.proj_penalty > 0 and comp is not None:
+        slack = (p[:, 0] * p[:, 0]).sum(axis=-1) - 1.0
         loss += hp.proj_penalty * (
-            float(np.clip(slack_h, 0, None).sum()) + float(np.clip(slack_t, 0, None).sum())
+            float(np.clip(slack[0], 0, None).sum()) + float(np.clip(slack[1], 0, None).sum())
         )
-        q_h = 2.0 * hp.proj_penalty * ph * (slack_h > 0)[:, None]
-        q_t = 2.0 * hp.proj_penalty * pt * (slack_t > 0)[:, None]
+        q = 2.0 * hp.proj_penalty * p[:, 0] * (slack > 0)[..., None]
 
-    if hp.attention_mode == "dense_l1" and not translating:
-        for rr, idx in zip(uniq.tolist(), groups):
-            weight_mass = np.abs(params.head_scores[rr]).sum() + np.abs(params.tail_scores[rr]).sum()
-            loss += hp.l1_coef * weight_mass * len(idx)
+    if hp.attention_mode == "dense_l1" and comp is not None:
+        mass = (np.abs(params.head_scores[uniq]).sum(axis=1)
+                + np.abs(params.tail_scores[uniq]).sum(axis=1))
+        loss += float((hp.l1_coef * mass * np.diff(bounds)).sum())
 
     return {
-        "pos": pos, "neg": neg, "uniq": uniq, "groups": groups, "comp": comp, "loss": loss,
-        "eh": eh, "et": et, "eh2": eh2, "et2": et2,
-        "ph": ph, "pt": pt,
-        "u_pos": u_pos, "u_neg": u_neg, "e_pos": e_pos, "e_neg": e_neg,
-        "active": active, "q_h": q_h, "q_t": q_t,
+        "order": order, "uniq": uniq, "bounds": bounds, "slot": slot, "comp": comp, "loss": loss,
+        "ids": ids, "x": x, "p": p, "u": u, "energies": energies, "active": active, "q": q,
     }
 
 
@@ -136,111 +129,86 @@ def batch_loss(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.nd
     return _forward(params, hp, pos, neg)["loss"]
 
 
-def _accumulate(acc: dict[int, np.ndarray], act: np.ndarray, weights: np.ndarray, s: np.ndarray) -> None:
-    """Add ``weight * s`` to the gradient of every concept of nonzero weight."""
-    for i, w in zip(act.tolist(), weights.tolist()):
-        if w:
-            if i in acc:
-                acc[i] += w * s
-            else:
-                acc[i] = w * s
-
-
-def _score_gradient(D, act, weights, s, tau: float, m: int) -> np.ndarray:
-    """Gradient of one side's pre-softmax scores through its softmax."""
-    a_act = np.einsum("ijk,jk->i", D[act], s)
-    g = np.zeros(m)
-    g[act] = weights / tau * (a_act - weights @ a_act)
-    return g
-
-
 def batch_gradients(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray):
     """Subgradients of :func:`batch_loss` w.r.t. the dense partition.
 
-    Returns ``(loss, grads)`` where grads holds sparse per-id updates:
-    ``entity`` / ``relation`` as (ids, rows), ``concept`` as {slice: (n, n)},
-    ``head_scores`` / ``tail_scores`` as {relation: (m,)}.
+    Returns ``(loss, grads)``.  ``grads`` maps the name of every parameter
+    array the model trains (only the two embeddings for transe) to
+    ``(ids, rows)``: the sorted unique ids of the rows the batch touches and
+    their gradients.  Each relation slice of the sorted batch costs one
+    matmul per side for the entity rows and one for the ``(n, n)`` adjoint
+    ``S`` that feeds its concepts and scores.  Every sum runs in the order
+    of the unsorted batch, so the result does not depend on the sort.
     """
     fw = _forward(params, hp, pos, neg)
-    pos, neg = fw["pos"], fw["neg"]
-    h, r, t = pos[:, 0], pos[:, 1], pos[:, 2]
-    h2, t2 = neg[:, 0], neg[:, 2]
-    active = fw["active"]
+    n = params.n
+    uniq, bounds, comp = fw["uniq"], fw["bounds"], fw["comp"]
+    g = _norm_grad(fw["u"], fw["energies"], hp.ell) * fw["active"][:, None]
+    # coefficients of the gathered entity rows: +g_pos, -g_neg on the head
+    # side and -g_pos, +g_neg on the tail side, plus the penalty on positives
+    coef = np.stack([g, -g]) * np.array([1.0, -1.0])[:, None, None]
+    if fw["q"] is not None:
+        coef[:, 0] += fw["q"]
 
-    g_pos = _norm_grad(fw["u_pos"], fw["e_pos"], hp.ell) * active[:, None]
-    g_neg = _norm_grad(fw["u_neg"], fw["e_neg"], hp.ell) * active[:, None]
-    q_h, q_t = fw["q_h"], fw["q_t"]
-    coef_h = g_pos if q_h is None else g_pos + q_h         # multiplies h rows
-    coef_t = -g_pos if q_t is None else -g_pos + q_t       # multiplies t rows
-
-    concept: dict[int, np.ndarray] = {}
-    head_scores: dict[int, np.ndarray] = {}
-    tail_scores: dict[int, np.ndarray] = {}
-    if fw["comp"] is None:
-        gh, gt, gh2, gt2 = coef_h, coef_t, -g_neg, g_neg
+    if comp is None:
+        rows = coef
     else:
-        gh = np.empty_like(coef_h)
-        gt = np.empty_like(coef_t)
-        gh2 = np.empty_like(g_neg)
-        gt2 = np.empty_like(g_neg)
+        rows = np.empty_like(coef)
         D = params.concept_tensor
-        eh, et, eh2, et2 = fw["eh"], fw["et"], fw["eh2"], fw["et2"]
-        (act_h, alpha_h, w_h), (act_t, alpha_t, w_t) = fw["comp"]
-        for u, (rr, idx) in enumerate(zip(fw["uniq"].tolist(), fw["groups"])):
-            coef_heads = np.concatenate([coef_h[idx], -g_neg[idx]])
-            coef_tails = np.concatenate([coef_t[idx], g_neg[idx]])
-            heads = coef_heads @ w_h[u]
-            tails = coef_tails @ w_t[u]
-            b = len(idx)
-            gh[idx], gh2[idx] = heads[:b], heads[b:]
-            gt[idx], gt2[idx] = tails[:b], tails[b:]
+        sparse = hp.attention_mode == "sparse"
+        cids = np.unique(np.concatenate([act[alpha != 0] for act, alpha, _ in comp]))
+        concept = np.zeros((len(cids), n, n))
+        # one concept at a time, in place: a stacked fancy-index add is slower
+        planes, tmp = list(concept), np.empty((n, n))
+        slots = [np.searchsorted(cids, act).tolist() for act, _, _ in comp]
+        weights = [alpha.tolist() for _, alpha, _ in comp]
+        scores = np.zeros((2, len(uniq), params.m))
+        for j, s, e in _slices(bounds):
+            for side, (act, alpha, W) in enumerate(comp):
+                c = coef[side, :, s:e].reshape(-1, n)
+                rows[side, :, s:e] = (c @ W[j]).reshape(2, -1, n)
+                S = c.T @ fw["x"][side, :, s:e].reshape(-1, n)
+                for k, w in zip(slots[side][j], weights[side][j]):
+                    if w:
+                        planes[k] += np.multiply(S, w, out=tmp)
+                if hp.attention_mode == "dense_l1":
+                    sign = np.sign((params.head_scores, params.tail_scores)[side][uniq[j]])
+                    scores[side, j] = np.einsum("ijk,jk->i", D, S) + hp.l1_coef * (e - s) * sign
+                else:
+                    # softmax backward; only sparse mode gathers its concepts
+                    a = (np.einsum("ijk,jk->i", D[act[j]], S) if sparse
+                         else np.einsum("ijk,jk->i", D, S)[act[j]])
+                    scores[side, j, act[j]] = alpha[j] / hp.tau * (a - alpha[j] @ a)
 
-            s_head = coef_heads.T @ np.concatenate([eh[idx], eh2[idx]])
-            s_tail = coef_tails.T @ np.concatenate([et[idx], et2[idx]])
-            _accumulate(concept, act_h[u], alpha_h[u], s_head)
-            _accumulate(concept, act_t[u], alpha_t[u], s_tail)
-            if hp.attention_mode == "dense_l1":
-                l1 = hp.l1_coef * b
-                head_scores[rr] = (
-                    np.einsum("ijk,jk->i", D, s_head) + l1 * np.sign(params.head_scores[rr])
-                )
-                tail_scores[rr] = (
-                    np.einsum("ijk,jk->i", D, s_tail) + l1 * np.sign(params.tail_scores[rr])
-                )
-            else:
-                head_scores[rr] = _score_gradient(D, act_h[u], alpha_h[u], s_head, hp.tau, params.m)
-                tail_scores[rr] = _score_gradient(D, act_t[u], alpha_t[u], s_tail, hp.tau, params.m)
-
-    ids = np.concatenate([h, t, h2, t2])
-    vecs = np.concatenate([gh, gt, gh2, gt2])
-    uids, uinv = np.unique(ids, return_inverse=True)
-    ent_acc = np.zeros((len(uids), params.n))
-    np.add.at(ent_acc, uinv, vecs)
-
-    rel_acc = np.zeros((len(fw["uniq"]), params.n))
-    np.add.at(rel_acc, np.searchsorted(fw["uniq"], r), g_pos - g_neg)
-
-    grads = {
-        "entity": (uids, ent_acc),
-        "relation": (fw["uniq"], rel_acc),
-        "concept": concept,
-        "head_scores": head_scores,
-        "tail_scores": tail_scores,
-    }
+    # entity rows summed in the unsorted batch order: heads, tails,
+    # corrupted heads, corrupted tails
+    inv = np.argsort(fw["order"])
+    uids, uinv = np.unique(fw["ids"][:, :, inv].transpose(1, 0, 2), return_inverse=True)
+    ent = np.zeros((len(uids), n))
+    np.add.at(ent, uinv.ravel(), rows[:, :, inv].transpose(1, 0, 2, 3).reshape(-1, n))
+    # relation rows in sorted order, which is the batch order within a relation
+    rel = np.zeros((len(uniq), n))
+    np.add.at(rel, fw["slot"], g[0] - g[1])
+    grads = {"entity_emb": (uids, ent), "relation_emb": (uniq, rel)}
+    if comp is not None:
+        grads.update(concept_tensor=(cids, concept),
+                     head_scores=(uniq, scores[0]), tail_scores=(uniq, scores[1]))
     return fw["loss"], grads
 
 
 def apply_gradients(params: ModelParams, hp: Hyperparams, grads: dict) -> None:
     """One lr-scaled step, then renormalize every touched entity row.
 
-    Rows whose step is exactly zero are left alone: they are already unit
-    norm from the previous step, so skipping keeps null updates bitwise
-    null instead of churning last bits through a redundant renormalize.
-    A stepped row whose norm is not finite (an overflowing step) raises
-    :class:`TrainingError` before any parameter changes.
+    ``grads`` is the mapping :func:`batch_gradients` returns.  Rows whose
+    step is exactly zero are left alone: they are already unit norm from
+    the previous step, so skipping keeps null updates bitwise null instead
+    of churning last bits through a redundant renormalize.  A stepped row
+    whose norm is not finite (an overflowing step) raises
+    :class:`TrainingError` before any parameter changes.  In dense_l1 mode
+    the stepped score rows are clipped at zero.
     """
     lr = hp.lr
-    uids, ent_acc = grads["entity"]
+    uids, ent_acc = grads["entity_emb"]
     delta = lr * ent_acc
     moved = np.any(delta != 0.0, axis=1)
     if moved.any():
@@ -256,18 +224,15 @@ def apply_gradients(params: ModelParams, hp: Hyperparams, grads: dict) -> None:
         nrm[nrm == 0] = 1.0
         params.entity_emb[uids] = rows / nrm
 
-    urel, rel_acc = grads["relation"]
-    params.relation_emb[urel] -= lr * rel_acc
-    for i, g in grads["concept"].items():
-        params.concept_tensor[i] -= lr * g
-    for rr, g in grads["head_scores"].items():
-        params.head_scores[rr] -= lr * g
-    for rr, g in grads["tail_scores"].items():
-        params.tail_scores[rr] -= lr * g
-    if hp.attention_mode == "dense_l1":
-        for rr in grads["head_scores"]:
-            np.maximum(params.head_scores[rr], 0.0, out=params.head_scores[rr])
-            np.maximum(params.tail_scores[rr], 0.0, out=params.tail_scores[rr])
+    for name, (ids, rows) in grads.items():
+        if name == "entity_emb":
+            continue
+        arr = getattr(params, name)
+        # row by row, in place: a fancy-index update copies every row twice
+        for i, row in zip(ids.tolist(), rows):
+            arr[i] -= lr * row
+        if hp.attention_mode == "dense_l1" and name.endswith("_scores"):
+            arr[ids] = np.maximum(arr[ids], 0.0)
 
 
 @dataclass
@@ -397,36 +362,35 @@ def _side_costs(
     seed: int,
     sampler: DomainSampler,
 ) -> np.ndarray | None:
-    """All m single-concept costs of one relation side, vectorized."""
+    """All m single-concept costs of one relation side, vectorized.
+
+    Concept i's difference vectors are ``D_i e - offset``, where ``e`` is
+    the scored side's entity and ``offset`` folds in the other side:
+    ``P_tail t - r`` when scoring heads, ``P_head h + r`` when scoring tails
+    (the negated difference, with the same norm).  The positive and then the
+    corrupted energies are computed in one reused (m, B, n) buffer.
+    """
     pos, neg = _block_pairs(store, r, side, hp, hp.block_budget, seed, sampler)
     if len(pos) == 0:
         return None
     ent = params.entity_emb
-    D = params.concept_tensor
     other = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
     w_other = compose(params, hp, other, [r])[2][0]
     rv = params.relation_emb[r]
-    if side == SIDE_HEAD:
-        fixed_pos = rv - ent[pos[:, 2]] @ w_other.T
-        fixed_neg = rv - ent[neg[:, 2]] @ w_other.T
-        var_pos = np.einsum("ijk,bk->ibj", D, ent[pos[:, 0]])
-        var_neg = np.einsum("ijk,bk->ibj", D, ent[neg[:, 0]])
-        u_pos = var_pos + fixed_pos[None]
-        u_neg = var_neg + fixed_neg[None]
-    else:
-        fixed_pos = ent[pos[:, 0]] @ w_other.T + rv
-        fixed_neg = ent[neg[:, 0]] @ w_other.T + rv
-        var_pos = np.einsum("ijk,bk->ibj", D, ent[pos[:, 2]])
-        var_neg = np.einsum("ijk,bk->ibj", D, ent[neg[:, 2]])
-        u_pos = fixed_pos[None] - var_pos
-        u_neg = fixed_neg[None] - var_neg
-    if hp.ell == 1:
-        e_pos = np.abs(u_pos).sum(axis=2)
-        e_neg = np.abs(u_neg).sum(axis=2)
-    else:
-        e_pos = np.sqrt((u_pos * u_pos).sum(axis=2))
-        e_neg = np.sqrt((u_neg * u_neg).sum(axis=2))
-    return np.maximum(hp.gamma + e_pos - e_neg, 0.0).sum(axis=1)
+    var, fixed = (0, 2) if side == SIDE_HEAD else (2, 0)
+    buf = None
+    energies = []
+    for pairs in (pos, neg):
+        proj = ent[pairs[:, fixed]] @ w_other.T
+        offset = proj - rv if side == SIDE_HEAD else proj + rv
+        buf = np.einsum("ijk,bk->ibj", params.concept_tensor, ent[pairs[:, var]], out=buf)
+        buf -= offset
+        if hp.ell == 1:
+            energies.append(np.abs(buf, out=buf).sum(axis=2))
+        else:
+            buf *= buf
+            energies.append(np.sqrt(buf.sum(axis=2)))
+    return np.maximum(hp.gamma + energies[0] - energies[1], 0.0).sum(axis=1)
 
 
 def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed: int = 0) -> None:
@@ -464,6 +428,7 @@ def train(
     early_stop_patience: int = 0,
     log_fn=None,
     on_epoch=None,
+    workers: int = 1,
 ) -> tuple[ModelParams, dict]:
     """Full optimization loop: SGD epochs interleaved with block updates.
 
@@ -473,6 +438,7 @@ def train(
     are recorded every ``eval_every`` epochs; with ``early_stop_patience``
     > 0 training stops once hits@10 has not improved for that many epochs.
     ``on_epoch(state, epoch, loss)`` may return True to stop early.
+    ``workers`` is the validation thread count.
     """
     from .evaluation import evaluate  # local import; evaluation depends on model only
 
@@ -500,7 +466,7 @@ def train(
             history["block_updates"].append({"epoch": epoch, "seed": bseed})
 
         if eval_every and eval_split is not None and len(eval_split) and epoch % eval_every == 0:
-            report = evaluate(eval_split, state.params, hp, store)
+            report = evaluate(eval_split, state.params, hp, store, workers=workers)
             history["evals"].append(
                 {"epoch": epoch, "mean_rank": report.mean_rank, "hits_at_10": report.hits_at_10}
             )

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,24 @@ TRAIN_ARGS = ["--n", "6", "--m", "4", "--k", "2", "--gamma", "1", "--lr", "0.05"
               "--init-noise-sd", "0.05", "--seed", "7"]
 
 
+@pytest.fixture
+def evaluate_workers(monkeypatch):
+    """Record the ``workers`` of every evaluate call the CLI makes."""
+    import conceptkb.cli as cli
+    import conceptkb.evaluation as evaluation
+
+    seen = []
+    real = evaluation.evaluate
+
+    def recording(*args, workers=1, **kw):
+        seen.append(workers)
+        return real(*args, workers=workers, **kw)
+
+    monkeypatch.setattr(evaluation, "evaluate", recording)
+    monkeypatch.setattr(cli, "evaluate", recording)
+    return seen
+
+
 class TestTrainCommand:
     def test_dry_run_prints_resolved_config(self, capsys):
         code = main(["train", "--dataset", "wn18", "--dry-run"])
@@ -50,6 +69,7 @@ class TestTrainCommand:
         assert resolved["n"] == "100"
         assert resolved["m"] == "300"
         assert resolved["batch_size"] == "1000"
+        assert resolved["lr"] == "0.01"
 
     def test_epochs_zero_writes_init_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -117,6 +137,13 @@ class TestTrainCommand:
         assert resolved["gamma"] == "2.0"   # explicit flag wins
         assert resolved["n"] == "12"        # config beats dataset default
         assert resolved["m"] == "30"        # dataset default survives
+
+    @pytest.mark.parametrize("flag", ["2", "0"])
+    def test_workers_reach_validation(self, data_dir, tmp_path, evaluate_workers, flag):
+        code = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "run"),
+                     *TRAIN_ARGS, "--epochs", "2", "--eval-every", "1", "--workers", flag])
+        assert code == EXIT_OK
+        assert evaluate_workers == [int(flag) or os.cpu_count() or 1] * 2
 
     def test_warm_start_flows_through(self, data_dir, tmp_path):
         donor_dir = tmp_path / "donor"
@@ -220,6 +247,12 @@ class TestSweepCommand:
         assert lines[0] == "value,mean_rank,hits_at_10,error"
         assert len(lines) == 2
         assert lines[1].split(",")[3] == ""
+
+    def test_workers_reach_test_evaluation(self, data_dir, tmp_path, evaluate_workers):
+        code = main(["sweep", "--axis", "m", "--values", "3", "--data-dir", str(data_dir),
+                     "--out", str(tmp_path / "sweep"), *TRAIN_ARGS, "--workers", "2"])
+        assert code == EXIT_OK
+        assert evaluate_workers == [2]
 
     def test_mode_axis_records_epoch_time(self, data_dir, tmp_path):
         out = tmp_path / "sweep"

@@ -29,25 +29,14 @@ class TestHingeLoss:
         assert hinge_loss(2.5, 3.0, 1.0) == pytest.approx(0.5)
 
 
+PARAM_ARRAYS = ("entity_emb", "relation_emb", "concept_tensor", "head_scores", "tail_scores")
+
+
 def dense_gradients(params, grads):
-    """Expand the sparse per-id gradient structure to full arrays."""
-    out = {
-        "entity_emb": np.zeros_like(params.entity_emb),
-        "relation_emb": np.zeros_like(params.relation_emb),
-        "concept_tensor": np.zeros_like(params.concept_tensor),
-        "head_scores": np.zeros_like(params.head_scores),
-        "tail_scores": np.zeros_like(params.tail_scores),
-    }
-    ids, acc = grads["entity"]
-    out["entity_emb"][ids] = acc
-    ids, acc = grads["relation"]
-    out["relation_emb"][ids] = acc
-    for i, g in grads["concept"].items():
-        out["concept_tensor"][i] = g
-    for r, g in grads["head_scores"].items():
-        out["head_scores"][r] = g
-    for r, g in grads["tail_scores"].items():
-        out["tail_scores"][r] = g
+    """Expand the per-array (ids, rows) gradients to full arrays."""
+    out = {name: np.zeros_like(getattr(params, name)) for name in PARAM_ARRAYS}
+    for name, (ids, rows) in grads.items():
+        out[name][ids] = rows
     return out
 
 
@@ -94,26 +83,36 @@ def kink_distance(params, hp, pos, neg):
     from conceptkb.training import _forward
 
     fw = _forward(params, hp, pos, neg)
-    margins = hp.gamma + fw["e_pos"] - fw["e_neg"]
-    dist = np.abs(margins).min()
+    energies = fw["energies"]
+    dist = np.abs(hp.gamma + energies[0] - energies[1]).min()
     if hp.ell == 1:
-        dist = min(dist, np.abs(fw["u_pos"]).min(), np.abs(fw["u_neg"]).min())
+        dist = min(dist, np.abs(fw["u"]).min())
     if hp.proj_penalty > 0 and hp.model != "transe":
-        slack_h = (fw["ph"] * fw["ph"]).sum(axis=1) - 1.0
-        slack_t = (fw["pt"] * fw["pt"]).sum(axis=1) - 1.0
-        dist = min(dist, np.abs(slack_h).min(), np.abs(slack_t).min())
+        positives = fw["p"][:, 0]
+        slack = (positives * positives).sum(axis=-1) - 1.0
+        dist = min(dist, np.abs(slack).min())
     return float(dist)
 
 
-PARAM_ARRAYS = ("entity_emb", "relation_emb", "concept_tensor", "head_scores", "tail_scores")
+# sparse attention keeps its ids ("0.0-1"); the all-m softmax and the
+# two-matrix baseline (m = 2|R| one-hot supports) append their name
+FD_VARIANTS = {
+    "": {},
+    "dense": {"attention_mode": "dense"},
+    "stranse": {"model": "stranse", "m": 6, "k": 1},
+}
+FD_CASES = [
+    pytest.param(ell, penalty, variant, id="-".join(filter(None, (str(penalty), str(ell), name))))
+    for name, variant in FD_VARIANTS.items() for penalty in (0.0, 1.0) for ell in (1, 2)
+]
 
 
 class TestGradientOracle:
-    @pytest.mark.parametrize("ell", [1, 2])
-    @pytest.mark.parametrize("penalty", [0.0, 1.0])
-    def test_matches_central_differences(self, ell, penalty):
-        hp = Hyperparams(n=4, m=5, k=2, gamma=1.0, tau=0.5, ell=ell, epochs=1,
-                         proj_penalty=penalty, init_noise_sd=0.4)
+    @pytest.mark.parametrize("ell,penalty,variant", FD_CASES)
+    def test_matches_central_differences(self, ell, penalty, variant):
+        kw = dict(n=4, m=5, k=2, gamma=1.0, tau=0.5, ell=ell, epochs=1,
+                  proj_penalty=penalty, init_noise_sd=0.4)
+        hp = Hyperparams(**{**kw, **variant})
         params = pos = neg = None
         for seed in range(3, 40):
             params, pos, neg = make_fd_instance(seed, hp)
@@ -144,6 +143,19 @@ class TestGradientOracle:
             fd = finite_difference(params, hp, pos, neg, arr_name)
             denom = np.maximum(1e-6, np.maximum(np.abs(analytic[arr_name]), np.abs(fd)))
             assert (np.abs(analytic[arr_name] - fd) / denom).max() < 1e-4
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense", "dense_l1"])
+    def test_invariant_to_batch_order(self, mode):
+        hp = Hyperparams(n=4, m=5, k=2, gamma=1.0, tau=0.5, ell=2, epochs=1,
+                         attention_mode=mode, init_noise_sd=0.4)
+        params, pos, neg = make_fd_instance(5, hp, batch=12)
+        loss, grads = batch_gradients(params, hp, pos, neg)
+        perm = np.random.default_rng(0).permutation(len(pos))
+        loss_p, grads_p = batch_gradients(params, hp, pos[perm], neg[perm])
+        assert loss_p == pytest.approx(loss, rel=1e-12)
+        a, b = dense_gradients(params, grads), dense_gradients(params, grads_p)
+        for name in PARAM_ARRAYS:
+            np.testing.assert_allclose(b[name], a[name], rtol=0, atol=1e-12, err_msg=name)
 
     def test_transe_gradients(self):
         hp = Hyperparams(n=4, m=1, k=1, gamma=1.0, ell=2, epochs=1, model="transe")
@@ -205,11 +217,7 @@ class TestSgdEpoch:
         # silently zero the row
         rows = np.zeros((2, tiny_hp.n))
         rows[1] = -1e307 / tiny_hp.lr
-        grads = {
-            "entity": (np.array([2, 5]), rows),
-            "relation": (np.zeros(0, dtype=np.int64), np.zeros((0, tiny_hp.n))),
-            "concept": {}, "head_scores": {}, "tail_scores": {},
-        }
+        grads = {"entity_emb": (np.array([2, 5]), rows)}
         with pytest.raises(TrainingError, match="entity row 5"):
             apply_gradients(state.params, tiny_hp, grads)
         np.testing.assert_array_equal(state.params.entity_emb, before.entity_emb)
