@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .data import (
 )
 from .evaluation import evaluate, load_report, per_relation_csv, report_json, report_text
 from .export import ExportError, export_attention, export_bin_comparison, export_frequency
-from .model import Hyperparams, attention_snapshot, init_params
+from .model import ATTENTION_MODES, MODELS, SAMPLING_MODES, Hyperparams, attention_snapshot, init_params
 from .training import TrainingError, train
 
 ENV_DATA_DIR = "CONCEPTKB_DATA"
@@ -45,12 +46,7 @@ DATASET_DEFAULTS = {
     "fb15k": {"gamma": 1.0, "n": 100, "batch_size": 1000, "lr": 0.01, "m": 300},
 }
 
-_HP_KEYS = (
-    "n", "m", "k", "gamma", "tau", "ell", "lr", "batch_size", "epochs",
-    "block_every", "block_stop", "init_noise_sd", "sampling_mode",
-    "domain_lambda", "domain_side_rule", "attention_mode", "l1_coef",
-    "proj_penalty", "model", "block_budget",
-)
+_HP_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
 
 _RUN_KEYS = (
     "seed", "dataset", "data_dir", "out", "warm_start", "eval_every",
@@ -406,18 +402,18 @@ def _add_hyper_options(p: argparse.ArgumentParser) -> None:
                    help="last epoch at which supports may change")
     p.add_argument("--init-noise-sd", dest="init_noise_sd", type=float, default=None)
     p.add_argument("--sampling-mode", dest="sampling_mode",
-                   choices=["uniform", "bernoulli", "domain"], default=None)
+                   choices=SAMPLING_MODES, default=None)
     p.add_argument("--lambda", dest="domain_lambda", type=float, default=None,
                    help="domain-sampling strength")
     p.add_argument("--domain-side", dest="domain_side_rule",
                    choices=["bernoulli", "uniform"], default=None,
                    help="side-selection rule under domain sampling")
     p.add_argument("--attention-mode", dest="attention_mode",
-                   choices=["sparse", "dense", "dense_l1"], default=None)
+                   choices=ATTENTION_MODES, default=None)
     p.add_argument("--l1-coef", dest="l1_coef", type=float, default=None)
     p.add_argument("--proj-penalty", dest="proj_penalty", type=float, default=None,
                    help="coefficient of the projected-norm penalty")
-    p.add_argument("--model", choices=["itransf", "transe", "stranse"], default=None)
+    p.add_argument("--model", choices=MODELS, default=None)
     p.add_argument("--block-budget", dest="block_budget", type=int, default=None,
                    help="max triples per relation when scoring concepts")
 

@@ -5,20 +5,19 @@ separated by single tabs: ``head<TAB>relation<TAB>tail``.  Entities and
 relations are mapped to dense integer ids; all derived statistics
 (per-relation triple lists, head/tail domains, tails-per-head and
 heads-per-tail means) are computed from the training split only, while
-the filter set covers all three splits.
+the filter index covers all three splits.  That index holds each known
+triple ``(h, r, t)`` as the int64 key ``(r·E + h)·E + t`` over ``E``
+entities, so a store needs ``n_relations · n_entities² < 2**63``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-Triple = tuple[int, int, int]
 
 TRAIN_FILE = "train.txt"
 VALID_FILE = "valid.txt"
@@ -83,18 +82,6 @@ class Vocab:
             h.update(name.encode("utf-8"))
             h.update(b"\x00")
         return h.hexdigest()
-
-    def to_dict(self) -> dict:
-        return {"entities": list(self.entity_names), "relations": list(self.relation_names)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Vocab":
-        v = cls()
-        for name in d["entities"]:
-            v.add_entity(name)
-        for name in d["relations"]:
-            v.add_relation(name)
-        return v
 
 
 def load_triples(
@@ -166,8 +153,11 @@ class TripleStore:
     ``by_relation`` maps each training relation to its (M, 3) triple rows;
     ``head_domain`` / ``tail_domain`` hold the sorted unique entities seen
     on each side of that relation in training.  ``all_known`` is the filter
-    set over all three splits.  ``tph`` / ``hpt`` are the per-relation mean
-    tails-per-head and heads-per-tail used by Bernoulli side selection.
+    index over all three splits: the sorted, distinct int64 keys
+    ``(r·E + h)·E + t`` of the known triples, with ``E = n_entities``; the
+    keys fit int64 only while ``n_relations · n_entities² < 2**63``, which
+    :func:`build_store` enforces.  ``tph`` / ``hpt`` are the per-relation
+    mean tails-per-head and heads-per-tail used by Bernoulli side selection.
     """
 
     n_entities: int
@@ -178,12 +168,9 @@ class TripleStore:
     by_relation: dict[int, np.ndarray]
     head_domain: dict[int, np.ndarray]
     tail_domain: dict[int, np.ndarray]
-    all_known: set[Triple]
+    all_known: np.ndarray
     tph: np.ndarray
     hpt: np.ndarray
-
-    def train_relations(self) -> list[int]:
-        return sorted(self.by_relation)
 
 
 def build_store(
@@ -206,8 +193,17 @@ def build_store(
     splits = [s for s in (train, valid, test) if len(s)]
     max_e = max((int(max(s[:, 0].max(), s[:, 2].max())) for s in splits), default=-1)
     max_r = max((int(s[:, 1].max()) for s in splits), default=-1)
-    n_entities = max_e + 1 if n_entities is None else n_entities
-    n_relations = max_r + 1 if n_relations is None else n_relations
+    n_entities = max_e + 1 if n_entities is None else int(n_entities)
+    n_relations = max_r + 1 if n_relations is None else int(n_relations)
+    if n_relations * n_entities**2 >= 2**63:
+        raise DataError(
+            f"{n_relations} relations and {n_entities} entities overflow the int64 "
+            "triple keys: need n_relations * n_entities**2 < 2**63"
+        )
+    # an id outside its range would alias another triple's key
+    min_id = min((int(s.min()) for s in splits), default=0)
+    if min_id < 0 or max_e >= n_entities or max_r >= n_relations:
+        raise DataError(f"triple ids out of range for {n_entities} entities and {n_relations} relations")
 
     by_relation: dict[int, np.ndarray] = {}
     head_domain: dict[int, np.ndarray] = {}
@@ -230,9 +226,8 @@ def build_store(
             tph[r] = len(rows) / len(heads)
             hpt[r] = len(rows) / len(tails)
 
-    all_known: set[Triple] = set()
-    for s in (train, valid, test):
-        all_known.update(map(tuple, s.tolist()))
+    known = np.concatenate([train, valid, test])
+    all_known = np.unique((known[:, 1] * n_entities + known[:, 0]) * n_entities + known[:, 2])
 
     return TripleStore(
         n_entities=n_entities,
@@ -321,34 +316,3 @@ def bin_relations(store: TripleStore, n_bins: int = 3) -> FrequencyBins:
     freqs = {r: float(len(rows)) for r, rows in store.by_relation.items()}
     return bins_from_frequencies(freqs, n_bins)
 
-
-def relation_statistics(store: TripleStore, vocab: Vocab | None = None) -> list[dict]:
-    """Per-relation summary rows (id, frequency, domain sizes, tph, hpt)."""
-    rows = []
-    for r in store.train_relations():
-        row = {
-            "relation": r,
-            "frequency": int(len(store.by_relation[r])),
-            "head_domain_size": int(len(store.head_domain[r])),
-            "tail_domain_size": int(len(store.tail_domain[r])),
-            "tph": float(store.tph[r]),
-            "hpt": float(store.hpt[r]),
-        }
-        if vocab is not None:
-            row["name"] = vocab.relation_names[r]
-        rows.append(row)
-    return rows
-
-
-def dump_statistics(store: TripleStore, vocab: Vocab, path: str | Path) -> None:
-    """Write the vocab and per-relation statistics as a JSON document."""
-    doc = {
-        "n_entities": store.n_entities,
-        "n_relations": store.n_relations,
-        "n_train": int(len(store.train)),
-        "n_valid": int(len(store.valid)),
-        "n_test": int(len(store.test)),
-        "vocab": vocab.to_dict(),
-        "relations": relation_statistics(store, vocab),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")

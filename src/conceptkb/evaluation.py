@@ -111,8 +111,11 @@ def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str,
 
 
 def _known(store: TripleStore, r: int) -> np.ndarray:
-    """Known triples of relation r across the three splits."""
-    return np.concatenate([s[s[:, 1] == r] for s in (store.train, store.valid, store.test)])
+    """Sorted keys ``h·E + t`` of relation r's known triples, cut from the
+    store's filter index."""
+    span = store.n_entities**2
+    lo, hi = np.searchsorted(store.all_known, [r * span, (r + 1) * span])
+    return store.all_known[lo:hi] - r * span
 
 
 def _rank_side(
@@ -121,22 +124,32 @@ def _rank_side(
     r: int,
     side: str,
     triples: np.ndarray,
-    known: np.ndarray | None,
+    store: TripleStore | None,
 ) -> list[int]:
     """Ranks of the true ``side`` entity of every triple of relation r.
 
-    ``known`` holds the relation's known triples for filtering, or None for
-    raw ranks.
+    ``store`` supplies the known triples to filter by, or is None for raw
+    ranks.
     """
     true_col, other_col = (0, 2) if side == SIDE_HEAD else (2, 0)
+    others = triples[:, other_col]
+    if store is not None:
+        n = store.n_entities
+        keys = _known(store, r)  # h·E + t: already other·E + true for tails
+        if side == SIDE_HEAD:
+            h, t = np.divmod(keys, n)
+            keys = np.sort(t * n + h)
+        # each query's filtered entities are the keys in [other·E, other·E + E)
+        starts = np.searchsorted(keys, others * n)
+        ends = np.searchsorted(keys, others * n + n)
     ranks = []
-    energies = _candidate_energies(params, hp, r, side, triples[:, other_col])
-    for (true_id, other), e in zip(triples[:, [true_col, other_col]].tolist(), energies):
+    energies = _candidate_energies(params, hp, r, side, others)
+    for i, (true_id, e) in enumerate(zip(triples[:, true_col].tolist(), energies)):
         e_true = e[true_id]
         ahead = e < e_true
         ahead[:true_id] |= e[:true_id] == e_true
-        if known is not None:
-            ahead[known[known[:, other_col] == other, true_col]] = False
+        if store is not None:
+            ahead[keys[starts[i]:ends[i]] % n] = False
         ranks.append(1 + int(ahead.sum()))
     return ranks
 
@@ -151,8 +164,8 @@ def rank_query(
 ) -> int:
     """Filtered (or raw) rank of the true entity for one query."""
     h, r, t = (int(x) for x in triple)
-    known = _known(store, r) if filtered else None
-    return _rank_side(params, hp, r, side, np.array([[h, r, t]], dtype=np.int64), known)[0]
+    triples = np.array([[h, r, t]], dtype=np.int64)
+    return _rank_side(params, hp, r, side, triples, store if filtered else None)[0]
 
 
 def evaluate(
@@ -180,10 +193,11 @@ def evaluate(
         SIDE_TAIL: (SIDE_TAIL,),
     }[direction]
 
+    filter_by = store if filtered else None
+
     def rank_relation(r: int) -> tuple[np.ndarray, list[list[int]]]:
         rows = np.flatnonzero(split[:, 1] == r)
-        known = _known(store, r) if filtered else None
-        return rows, [_rank_side(params, hp, r, side, split[rows], known) for side in sides]
+        return rows, [_rank_side(params, hp, r, side, split[rows], filter_by) for side in sides]
 
     relations = np.unique(split[:, 1]).tolist()
     if workers > 1 and len(relations) > 1:

@@ -244,7 +244,6 @@ class TrainState:
     block_rng: np.random.Generator
     sampler: DomainSampler
     epoch: int = 0
-    running_loss: float = 0.0
 
 
 def make_state(
@@ -278,7 +277,6 @@ def sgd_epoch(state: TrainState, store: TripleStore, hp: Hyperparams) -> float:
     n_train = len(store.train)
     if n_train == 0:
         state.epoch += 1
-        state.running_loss = 0.0
         return 0.0
     order = state.rng.permutation(n_train)
     total = 0.0
@@ -295,8 +293,7 @@ def sgd_epoch(state: TrainState, store: TripleStore, hp: Hyperparams) -> float:
         apply_gradients(state.params, hp, grads)
         total += loss
     state.epoch += 1
-    state.running_loss = total / n_train
-    return state.running_loss
+    return total / n_train
 
 
 def _block_pairs(

@@ -124,6 +124,20 @@ class TestTrainCommand:
     def test_unreadable_dataset_is_data_error(self, tmp_path):
         assert main(["train", "--data-dir", str(tmp_path / "nowhere"), *TRAIN_ARGS]) == EXIT_DATA
 
+    def test_key_overflow_is_data_error(self, data_dir, tmp_path, monkeypatch, capsys):
+        import conceptkb.data as data
+
+        real = data.build_store
+
+        def huge(train, valid, test, n_entities, n_relations):
+            return real(train, valid, test, 2**32, n_relations)
+
+        monkeypatch.setattr(data, "build_store", huge)
+        code = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "run"), *TRAIN_ARGS])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1 and "int64" in err
+
     def test_invalid_flag_combination_fails_before_work(self, data_dir):
         # k > m must be rejected as a usage error without touching data
         assert main(["train", "--data-dir", str(data_dir), "--m", "2", "--k", "5"]) == EXIT_USAGE

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptkb.data import (
+    DataError,
     TripleParseError,
     Vocab,
     VocabularyError,
@@ -13,10 +14,8 @@ from conceptkb.data import (
     bins_from_frequencies,
     build_store,
     decode_triples,
-    dump_statistics,
     load_dataset,
     load_triples,
-    relation_statistics,
 )
 
 
@@ -113,9 +112,21 @@ class TestBuildStore:
             assert t in tiny_store.tail_domain[r]
 
     def test_all_known_covers_every_split(self, tiny_store):
-        for split in (tiny_store.train, tiny_store.valid, tiny_store.test):
-            for row in split:
-                assert tuple(row.tolist()) in tiny_store.all_known
+        n = tiny_store.n_entities
+        want = sorted({(r * n + h) * n + t
+                       for split in (tiny_store.train, tiny_store.valid, tiny_store.test)
+                       for h, r, t in split.tolist()})
+        assert tiny_store.all_known.dtype == np.int64
+        assert tiny_store.all_known.tolist() == want
+
+    def test_key_overflow_raises(self):
+        with pytest.raises(DataError, match="4294967296 entities"):
+            build_store(np.array([[0, 0, 1]]), n_entities=2**32)
+
+    @pytest.mark.parametrize("row", [[0, 0, 5], [-1, 0, 1], [0, 2, 1]])
+    def test_out_of_range_id_raises(self, row):
+        with pytest.raises(DataError, match="out of range"):
+            build_store(np.array([[0, 0, 1]]), np.array([row]), n_entities=3, n_relations=2)
 
     def test_all_known_counts_each_triple_once(self):
         train = np.array([[0, 0, 1], [0, 0, 1]], dtype=np.int64)  # duplicate row
@@ -202,24 +213,3 @@ class TestDataset:
         assert vocab.n_entities == 5  # union across splits
         assert store.n_entities == 5
         assert len(store.train) == 2 and len(store.valid) == 1 and len(store.test) == 1
-
-    def test_statistics_dump(self, tmp_path, tiny_store):
-        vocab = Vocab()
-        for i in range(7):
-            vocab.add_entity(f"e{i}")
-        for i in range(3):
-            vocab.add_relation(f"r{i}")
-        out = tmp_path / "stats.json"
-        dump_statistics(tiny_store, vocab, out)
-        import json
-
-        doc = json.loads(out.read_text())
-        assert doc["n_train"] == 10
-        assert {row["relation"] for row in doc["relations"]} == {0, 1, 2}
-
-    def test_relation_statistics_fields(self, tiny_store):
-        rows = relation_statistics(tiny_store)
-        row0 = next(r for r in rows if r["relation"] == 0)
-        assert row0["frequency"] == 4
-        assert row0["head_domain_size"] == 4
-        assert row0["tail_domain_size"] == 3

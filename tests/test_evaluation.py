@@ -16,15 +16,21 @@ from conceptkb.evaluation import (
 from conceptkb.model import Hyperparams, energy, init_params
 
 
+def known_triples(store):
+    """Every triple of the three splits, as a set of tuples."""
+    return {tuple(row) for split in (store.train, store.valid, store.test) for row in split.tolist()}
+
+
 def brute_force_rank(triple, side, params, store, hp, filtered):
     """Independent oracle: explicit (energy, id) sort, then position of the
     true entity among unfiltered candidates."""
     h, r, t = (int(x) for x in triple)
     true = h if side == "head" else t
+    known = known_triples(store) if filtered else set()
     rows = []
     for c in range(store.n_entities):
         cand = (c, r, t) if side == "head" else (h, r, c)
-        if filtered and c != true and cand in store.all_known:
+        if c != true and cand in known:
             continue
         rows.append((energy(*cand, params, hp), c))
     rows.sort()
@@ -53,12 +59,20 @@ class TestRankQuery:
         assert rank_query((0, 0, 1), "tail", params, store, hp, filtered=False) == 3
 
     def test_matches_brute_force_small(self, tiny_store, tiny_params, tiny_hp):
-        for triple in np.concatenate([tiny_store.valid, tiny_store.test]):
-            for side in ("head", "tail"):
-                for filt in (True, False):
-                    got = rank_query(triple, side, tiny_params, tiny_store, tiny_hp, filtered=filt)
-                    want = brute_force_rank(triple, side, tiny_params, tiny_store, tiny_hp, filt)
-                    assert got == want
+        # (0, 0, 1) sits in train and test; relation 2 is known only from
+        # valid and test
+        overlap = build_store(np.array([[0, 0, 1], [2, 0, 1], [1, 0, 3], [0, 1, 2], [3, 1, 2]]),
+                              np.array([[3, 2, 0], [1, 2, 0], [0, 0, 3]]),
+                              np.array([[0, 0, 1], [3, 2, 1], [3, 2, 4]]),
+                              n_entities=5, n_relations=3)
+        overlap_params = init_params(5, 3, tiny_hp, seed=3)
+        for store, params in ((tiny_store, tiny_params), (overlap, overlap_params)):
+            for triple in np.concatenate([store.valid, store.test]):
+                for side in ("head", "tail"):
+                    for filt in (True, False):
+                        got = rank_query(triple, side, params, store, tiny_hp, filtered=filt)
+                        want = brute_force_rank(triple, side, params, store, tiny_hp, filt)
+                        assert got == want
 
     def test_filtered_never_worse_than_raw(self, tiny_store, tiny_params, tiny_hp):
         for triple in tiny_store.test:
@@ -70,7 +84,7 @@ class TestRankQuery:
 
 class TestEvaluate:
     def test_memorizing_scorer_is_perfect(self, monkeypatch, tiny_store, tiny_params, tiny_hp):
-        known = tiny_store.all_known
+        known = known_triples(tiny_store)
 
         def oracle(params, hp, r, side, others):
             """Forces energy 0 on known-true triples and 1 elsewhere."""
