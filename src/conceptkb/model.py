@@ -35,7 +35,8 @@ class Hyperparams:
     ``block_stop`` of None means "half of the total epochs"; resolve it via
     :meth:`effective_block_stop`.  ``block_budget`` caps the number of
     training triples sampled per relation when scoring single-concept
-    costs; None means no cap.
+    costs; None means no cap.  ``n``, ``batch_size`` and an integer
+    ``block_budget`` must be at least 1.
     """
 
     n: int = 50
@@ -60,6 +61,10 @@ class Hyperparams:
     block_budget: Optional[int] = 500
 
     def __post_init__(self):
+        for name in ("n", "batch_size", "block_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if not (1 <= self.k <= self.m):
             raise ValueError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if self.tau <= 0:

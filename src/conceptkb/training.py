@@ -15,6 +15,12 @@ A batch is stable-sorted by relation once, so each relation's pairs form
 one contiguous slice that is projected and differentiated with a few
 matmuls.  Gradients come back in one format for every parameter array:
 the sorted unique ids of the touched rows and their gradient rows.
+
+Block reassignment scores a relation side's concepts in chunks under a
+fixed byte cap (:data:`BLOCK_CHUNK_BYTES`), each chunk with one BLAS
+product per pass over its pairs.  Its costs agree with the scalar
+:func:`single_matrix_cost` to rounding, not bitwise; the supports it picks
+are the stable bottom-k of those costs.
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ from .model import (
     single_matrix_energy,
 )
 from .sampling import DomainSampler, corrupt_batch
+
+
+# byte cap of the (B, c, n) buffer that block scoring projects a chunk of
+# c concepts into; 32 MiB holds 83 concepts of 500 pairs at n=100
+BLOCK_CHUNK_BYTES = 32 * 2**20
 
 
 class TrainingError(RuntimeError):
@@ -364,35 +375,56 @@ def _side_costs(
     Concept i's difference vectors are ``D_i e - offset``, where ``e`` is
     the scored side's entity and ``offset`` folds in the other side:
     ``P_tail t - r`` when scoring heads, ``P_head h + r`` when scoring tails
-    (the negated difference, with the same norm).  The positive and then the
-    corrupted energies are computed in one reused (m, B, n) buffer.
+    (the negated difference, with the same norm).
+
+    The concepts are scored in chunks of as many as fit a (B, c, n) buffer
+    of :data:`BLOCK_CHUNK_BYTES`, so memory does not grow with the number
+    of pairs B when ``block_budget`` is None.  Each pass (positives, then
+    corrupted pairs) projects its B entities through a chunk's c concepts
+    as one BLAS product ``e @ D[chunk].reshape(c·n, n).T`` into that
+    buffer, subtracts the offset and reduces over n into the pass's (B, m)
+    energies.
     """
     pos, neg = _block_pairs(store, r, side, hp, hp.block_budget, seed, sampler)
     if len(pos) == 0:
         return None
     ent = params.entity_emb
+    D = params.concept_tensor
+    m, n, B = params.m, params.n, len(pos)
     other = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
     w_other = compose(params, hp, other, [r])[2][0]
-    rv = params.relation_emb[r]
+    rv = -params.relation_emb[r] if side == SIDE_HEAD else params.relation_emb[r]
     var, fixed = (0, 2) if side == SIDE_HEAD else (2, 0)
-    buf = None
-    energies = []
-    for pairs in (pos, neg):
-        proj = ent[pairs[:, fixed]] @ w_other.T
-        offset = proj - rv if side == SIDE_HEAD else proj + rv
-        buf = np.einsum("ijk,bk->ibj", params.concept_tensor, ent[pairs[:, var]], out=buf)
-        buf -= offset
-        if hp.ell == 1:
-            energies.append(np.abs(buf, out=buf).sum(axis=2))
-        else:
-            buf *= buf
-            energies.append(np.sqrt(buf.sum(axis=2)))
-    return np.maximum(hp.gamma + energies[0] - energies[1], 0.0).sum(axis=1)
+    chunk = min(m, max(1, BLOCK_CHUNK_BYTES // (8 * B * n)))
+    flat = np.empty(B * chunk * n)
+    energies = np.empty((2, B, m))
+    for k, pairs in enumerate((pos, neg)):
+        offset = ent[pairs[:, fixed]] @ w_other.T
+        offset += rv
+        offset = offset[:, None]
+        e = ent[pairs[:, var]]
+        for lo in range(0, m, chunk):
+            c = min(chunk, m - lo)
+            buf = flat[: B * c * n].reshape(B, c * n)
+            np.matmul(e, D[lo:lo + c].reshape(c * n, n).T, out=buf)
+            u = buf.reshape(B, c, n)
+            u -= offset
+            if hp.ell == 1:
+                np.abs(u, out=u).sum(axis=2, out=energies[k, :, lo:lo + c])
+            else:
+                u *= u
+                np.sqrt(u.sum(axis=2), out=energies[k, :, lo:lo + c])
+        del offset, e  # freed before the next pass gathers its own rows
+    # the hinge in place: no (B, m) temporaries beside the chunk buffer
+    hinge, neg_energy = energies
+    hinge += hp.gamma
+    hinge -= neg_energy
+    return np.maximum(hinge, 0.0, out=hinge).sum(axis=0)
 
 
-def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed: int = 0) -> None:
+def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed: int = 0) -> int:
     """Reassign every relation's head and tail supports to the k cheapest
-    concepts.
+    concepts; returns how many relation sides changed support.
 
     Costs for both sides are computed against the pre-update attentions
     (a simultaneous update), and ties keep the lower concept index.
@@ -407,12 +439,14 @@ def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed:
             if costs is None:
                 continue
             out[r] = np.sort(np.argsort(costs, kind="stable")[: hp.k])
-    for r, chosen in new_head.items():
-        params.head_assign[r] = 0
-        params.head_assign[r, chosen] = 1
-    for r, chosen in new_tail.items():
-        params.tail_assign[r] = 0
-        params.tail_assign[r, chosen] = 1
+    changed = 0
+    for assign, new in ((params.head_assign, new_head), (params.tail_assign, new_tail)):
+        for r, chosen in new.items():
+            row = np.zeros_like(assign[r])
+            row[chosen] = 1
+            changed += not np.array_equal(row, assign[r])
+            assign[r] = row
+    return changed
 
 
 def train(
@@ -459,8 +493,8 @@ def train(
             and epoch <= block_stop
         ):
             bseed = int(state.block_rng.integers(2**31))
-            block_update(state.params, store, hp, seed=bseed)
-            history["block_updates"].append({"epoch": epoch, "seed": bseed})
+            changed = block_update(state.params, store, hp, seed=bseed)
+            history["block_updates"].append({"epoch": epoch, "seed": bseed, "changed_sides": changed})
 
         if eval_every and eval_split is not None and len(eval_split) and epoch % eval_every == 0:
             report = evaluate(eval_split, state.params, hp, store, workers=workers)

@@ -357,6 +357,20 @@ class TestConfigFile:
         with pytest.raises(Exception):
             read_config_file(cfg)
 
+    @pytest.mark.parametrize("key", ["n", "batch_size", "block_budget"])
+    def test_size_below_one_is_usage_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}=0\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--dry-run"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be at least 1, got 0\n"
+
+    def test_no_block_budget_is_legal(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("block_budget=\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--dry-run"]) == EXIT_OK
+        assert "block_budget=\n" in capsys.readouterr().out
+
     def test_non_numeric_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n=abc\n", encoding="utf-8")

@@ -332,6 +332,49 @@ class TestBlockUpdate:
             assert np.nonzero(state.params.head_assign[r])[0].tolist() == [0, 1]
             assert np.nonzero(state.params.tail_assign[r])[0].tolist() == [0, 1]
 
+    @pytest.mark.parametrize("budget", [None, 2])
+    @pytest.mark.parametrize("sampling", ["uniform", "bernoulli", "domain"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_chunked_costs_match_scalar_oracle(self, monkeypatch, tiny_store, ell, sampling, budget):
+        """Every concept's vectorized cost equals the scalar one to 1e-12,
+        with m = 5 split into concept chunks of 2, 2 and 1."""
+        import conceptkb.training as training
+
+        hp = Hyperparams(n=5, m=5, k=2, gamma=1.0, tau=0.5, ell=ell, epochs=1,
+                         init_noise_sd=0.3, sampling_mode=sampling, domain_lambda=0.5,
+                         block_budget=budget)
+        params = make_state(tiny_store, hp, seed=9).params
+        rng = np.random.default_rng(17)
+        params.head_scores[:] = rng.normal(size=params.head_scores.shape)
+        params.tail_scores[:] = rng.normal(size=params.tail_scores.shape)
+        sampler = training.DomainSampler(tiny_store, hp.domain_lambda)
+        for r in tiny_store.by_relation:
+            for side in ("head", "tail"):
+                pairs = len(training._block_pairs(tiny_store, r, side, hp, budget, 31)[0])
+                # room for two concepts' (pairs, n) blocks, not three
+                monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 8 * pairs * hp.n * 2 + 7)
+                got = training._side_costs(tiny_store, r, side, params, hp, 31, sampler)
+                want = [single_matrix_cost(side, r, i, tiny_store, params, hp, budget, 31)
+                        for i in range(hp.m)]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_reports_changed_sides(self, tiny_store, tiny_hp):
+        state = make_state(tiny_store, tiny_hp, seed=6)
+        for seed in range(4):
+            before = state.params.head_assign.copy(), state.params.tail_assign.copy()
+            changed = block_update(state.params, tiny_store, tiny_hp, seed=seed)
+            after = state.params.head_assign, state.params.tail_assign
+            assert changed == sum(int((a != b).any(axis=1).sum()) for a, b in zip(before, after))
+
+    def test_repeat_with_same_params_and_seed_changes_nothing(self, tiny_store):
+        # identity concepts: costs do not depend on the supports, so the
+        # first update reaches the fixed point
+        hp = Hyperparams(n=5, m=4, k=2, gamma=1.0, epochs=1, init_noise_sd=0.0,
+                         block_budget=None, sampling_mode="uniform")
+        state = make_state(tiny_store, hp, seed=8)
+        assert block_update(state.params, tiny_store, hp, seed=21) > 0
+        assert block_update(state.params, tiny_store, hp, seed=21) == 0
+
 
 class TestTrain:
     def test_zero_epochs_returns_init(self, tiny_store, tiny_hp):
@@ -362,6 +405,15 @@ class TestTrain:
         params, history = train(tiny_store, hp, seed=12)
         assert [e["epoch"] for e in history["epochs"]] == [1, 2, 3, 4, 5, 6]
         assert [b["epoch"] for b in history["block_updates"]] == [2, 4]
+        for record in history["block_updates"]:
+            assert 0 <= record["changed_sides"] <= 2 * tiny_store.n_relations
+
+    def test_block_every_zero_records_no_updates(self, tiny_store, tiny_hp):
+        hp = tiny_hp.with_updates(epochs=3, block_every=0)
+        init = init_params(tiny_store.n_entities, tiny_store.n_relations, hp, seed=12)
+        params, history = train(tiny_store, hp, seed=12)
+        assert history["block_updates"] == []
+        np.testing.assert_array_equal(params.head_assign, init.head_assign)
 
     def test_eval_recorded_and_early_stop(self, tiny_store, tiny_hp):
         hp = tiny_hp.with_updates(epochs=30, lr=0.0)
