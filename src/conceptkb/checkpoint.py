@@ -8,6 +8,7 @@ reload bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -19,15 +20,7 @@ from .model import Hyperparams, ModelParams
 
 FORMAT_VERSION = 1
 
-_ARRAY_FIELDS = (
-    "entity_emb",
-    "relation_emb",
-    "concept_tensor",
-    "head_scores",
-    "tail_scores",
-    "head_assign",
-    "tail_assign",
-)
+_ARRAY_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
 class CheckpointError(Exception):
@@ -108,7 +101,8 @@ def check_vocab(meta: dict, vocab: Vocab) -> None:
     """Raise unless the checkpoint was trained against this exact vocab."""
     if meta.get("entity_hash") is None:
         return
-    if meta["entity_hash"] != vocab.entity_hash() or meta["relation_hash"] != vocab.relation_hash():
+    # a record without a relation hash cannot vouch for the relations
+    if (meta["entity_hash"], meta.get("relation_hash")) != (vocab.entity_hash(), vocab.relation_hash()):
         raise CheckpointError(
             "vocabulary mismatch between checkpoint and data "
             "(different entity or relation inventories)"

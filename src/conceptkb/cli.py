@@ -30,7 +30,7 @@ from .data import (
 )
 from .evaluation import evaluate, load_report, per_relation_csv, report_json, report_text
 from .export import ExportError, export_attention, export_bin_comparison, export_frequency
-from .model import ATTENTION_MODES, MODELS, SAMPLING_MODES, Hyperparams, attention_snapshot, init_params
+from .model import ATTENTION_MODES, MODELS, SAMPLING_MODES, Hyperparams, attention_snapshot
 from .training import TrainingError, train
 
 ENV_DATA_DIR = "CONCEPTKB_DATA"
@@ -47,11 +47,6 @@ DATASET_DEFAULTS = {
 }
 
 _HP_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
-
-_RUN_KEYS = (
-    "seed", "dataset", "data_dir", "out", "warm_start", "eval_every",
-    "early_stop_patience", "checkpoint_every", "workers",
-)
 
 _BASE_DEFAULTS = {
     **Hyperparams().to_dict(),
@@ -97,8 +92,12 @@ def _coerce(key: str, value):
 
 def read_config_file(path: str | Path) -> dict:
     """Flat key=value file; blank lines and # comments are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -124,20 +123,15 @@ def write_config_file(path: Path, resolved: dict) -> None:
 def resolve_options(args: argparse.Namespace) -> dict:
     """defaults < dataset defaults < config file < explicit flags."""
     resolved = dict(_BASE_DEFAULTS)
-    dataset = getattr(args, "dataset", None)
     config_path = getattr(args, "config", None)
     config = read_config_file(config_path) if config_path else {}
-    if dataset is None:
-        dataset = config.get("dataset") or "custom"
-    resolved["dataset"] = dataset
+    dataset = getattr(args, "dataset", None) or config.get("dataset") or "custom"
     if dataset in DATASET_DEFAULTS:
         resolved.update(DATASET_DEFAULTS[dataset])
     elif dataset != "custom":
         raise UsageError(f"unknown dataset {dataset!r}; use wn18, fb15k, or custom")
-    resolved.update(config)
-    if dataset is not None:
-        resolved["dataset"] = dataset
-    for key in (*_HP_KEYS, *_RUN_KEYS):
+    resolved.update(config, dataset=dataset)
+    for key in _BASE_DEFAULTS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = _coerce(key, flag_value)
@@ -200,22 +194,18 @@ def _run_training(resolved: dict, store: TripleStore, vocab: Vocab, out_dir: Pat
         return False
 
     try:
-        if hp.epochs == 0:
-            params = init_params(store.n_entities, store.n_relations, hp, resolved["seed"], warm)
-            history = {"epochs": [], "block_updates": [], "evals": [], "stopped_epoch": None}
-        else:
-            params, history = train(
-                store,
-                hp,
-                resolved["seed"],
-                warm_start=warm,
-                eval_split=store.valid if resolved["eval_every"] else None,
-                eval_every=resolved["eval_every"],
-                early_stop_patience=resolved["early_stop_patience"],
-                log_fn=log_fn,
-                on_epoch=on_epoch,
-                workers=_workers(resolved),
-            )
+        params, history = train(
+            store,
+            hp,
+            resolved["seed"],
+            warm_start=warm,
+            eval_split=store.valid if resolved["eval_every"] else None,
+            eval_every=resolved["eval_every"],
+            early_stop_patience=resolved["early_stop_patience"],
+            log_fn=log_fn,
+            on_epoch=on_epoch,
+            workers=_workers(resolved),
+        )
     finally:
         log_fh.close()
 
@@ -418,6 +408,14 @@ def _add_hyper_options(p: argparse.ArgumentParser) -> None:
                    help="max triples per relation when scoring concepts")
 
 
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eval-every", dest="eval_every", type=int, default=None,
+                   help="validation interval in epochs (0 = never)")
+    p.add_argument("--early-stop-patience", dest="early_stop_patience", type=int, default=None)
+    p.add_argument("--no-early-stop", dest="no_early_stop", action="store_true")
+    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptkb",
@@ -430,11 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper_options(p_train)
     p_train.add_argument("--warm-start", dest="warm_start",
                          help="checkpoint whose embeddings seed this run")
-    p_train.add_argument("--eval-every", dest="eval_every", type=int, default=None,
-                         help="validation interval in epochs (0 = never)")
-    p_train.add_argument("--early-stop-patience", dest="early_stop_patience", type=int, default=None)
-    p_train.add_argument("--no-early-stop", dest="no_early_stop", action="store_true")
-    p_train.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
+    _add_run_options(p_train)
     p_train.add_argument("--dry-run", dest="dry_run", action="store_true",
                          help="print the resolved configuration and exit")
     p_train.set_defaults(func=cmd_train)
@@ -455,10 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper_options(p_sweep)
     p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--eval-every", dest="eval_every", type=int, default=None)
-    p_sweep.add_argument("--early-stop-patience", dest="early_stop_patience", type=int, default=None)
-    p_sweep.add_argument("--no-early-stop", dest="no_early_stop", action="store_true")
-    p_sweep.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
+    _add_run_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_export = sub.add_parser("export", help="emit plot-ready CSV/JSON data")

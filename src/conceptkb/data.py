@@ -70,18 +70,15 @@ class Vocab:
         return idx
 
     def entity_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in self.entity_names:
-            h.update(name.encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
+        return _names_hash(self.entity_names)
 
     def relation_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in self.relation_names:
-            h.update(name.encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
+        return _names_hash(self.relation_names)
+
+
+def _names_hash(names: list[str]) -> str:
+    """SHA-256 of the names in order, each NUL-terminated."""
+    return hashlib.sha256(b"".join(name.encode("utf-8") + b"\x00" for name in names)).hexdigest()
 
 
 def load_triples(
@@ -108,35 +105,38 @@ def load_triples(
 
     path = Path(path)
     rows: list[tuple[int, int, int]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise TripleParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            head, rel, tail = fields
-            if extend:
-                h = vocab.add_entity(head)
-                r = vocab.add_relation(rel)
-                t = vocab.add_entity(tail)
-            else:
-                try:
-                    h = vocab.entity_index[head]
-                except KeyError:
-                    raise VocabularyError(f"{path}:{lineno}: unknown entity {head!r}") from None
-                try:
-                    r = vocab.relation_index[rel]
-                except KeyError:
-                    raise VocabularyError(f"{path}:{lineno}: unknown relation {rel!r}") from None
-                try:
-                    t = vocab.entity_index[tail]
-                except KeyError:
-                    raise VocabularyError(f"{path}:{lineno}: unknown entity {tail!r}") from None
-            rows.append((h, r, t))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise TripleParseError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                    )
+                head, rel, tail = fields
+                if extend:
+                    h = vocab.add_entity(head)
+                    r = vocab.add_relation(rel)
+                    t = vocab.add_entity(tail)
+                else:
+                    try:
+                        h = vocab.entity_index[head]
+                    except KeyError:
+                        raise VocabularyError(f"{path}:{lineno}: unknown entity {head!r}") from None
+                    try:
+                        r = vocab.relation_index[rel]
+                    except KeyError:
+                        raise VocabularyError(f"{path}:{lineno}: unknown relation {rel!r}") from None
+                    try:
+                        t = vocab.entity_index[tail]
+                    except KeyError:
+                        raise VocabularyError(f"{path}:{lineno}: unknown entity {tail!r}") from None
+                rows.append((h, r, t))
+    except UnicodeDecodeError as exc:
+        raise TripleParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), 3), vocab
 
 
@@ -295,20 +295,9 @@ def bins_from_frequencies(freqs: dict[int, float], n_bins: int = 3) -> Frequency
     hi = max(logs.values())
     width = (hi - lo) / n_bins
     edges = [lo + j * width for j in range(n_bins + 1)]
-    tol = 1e-9
-    assignment = {}
-    for r, lf in logs.items():
-        if width == 0.0:
-            assignment[r] = 0
-            continue
-        b = 0
-        for j in range(1, n_bins):
-            if lf > edges[j] + tol:
-                b = j
-            else:
-                break
-        assignment[r] = b
-    return FrequencyBins(assignment, edges)
+    # a bin is the count of interior edges, widened by 1e-9, below the value
+    bins = np.searchsorted(np.add(edges[1:-1], 1e-9), list(logs.values()))
+    return FrequencyBins(dict(zip(logs, bins.tolist())), edges)
 
 
 def bin_relations(store: TripleStore, n_bins: int = 3) -> FrequencyBins:

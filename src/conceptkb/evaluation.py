@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FrequencyBins, TripleStore, Vocab
+from .data import DataError, FrequencyBins, TripleStore, Vocab
 from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
 
 HITS_CUTOFF = 10
@@ -222,23 +222,26 @@ def evaluate(
             count=int(mask.sum()),
         )
 
-    per_bin = None
-    if bins is not None:
-        per_bin = {}
-        for b in range(bins.n_bins):
-            members = [r for r in per_relation if bins.bin_of_relation.get(r) == b]
-            if members:
-                per_bin[b] = float(np.mean([per_relation[r].hits_at_10 for r in members]))
-
     return EvalReport(
         mean_rank=float(ranks.mean()) if len(ranks) else 0.0,
         hits_at_10=float(hits.mean() * 100.0) if len(ranks) else 0.0,
         per_relation=per_relation,
-        per_bin=per_bin,
+        per_bin=None if bins is None else bin_hits(per_relation, bins),
         direction=direction,
         n_queries=len(ranks),
         filtered=filtered,
     )
+
+
+def bin_hits(per_relation: dict[int, RelationMetrics], bins: FrequencyBins) -> dict[int, float]:
+    """Per-relation hits@10 averaged inside each frequency bin, so every
+    relation counts once; bins holding none of the relations are left out."""
+    out = {}
+    for b in range(bins.n_bins):
+        members = [m.hits_at_10 for r, m in per_relation.items() if bins.bin_of_relation.get(r) == b]
+        if members:
+            out[b] = float(np.mean(members))
+    return out
 
 
 def report_json(report: EvalReport, path: str | Path) -> None:
@@ -246,7 +249,10 @@ def report_json(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} is not an eval report: {type(exc).__name__}: {exc}") from None
 
 
 def report_text(report: EvalReport, vocab: Vocab | None = None) -> str:

@@ -12,10 +12,8 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .data import FrequencyBins, TripleStore, Vocab
-from .evaluation import EvalReport
+from .evaluation import EvalReport, bin_hits
 from .model import AttentionSnapshot
 
 
@@ -114,17 +112,8 @@ def export_bin_comparison(
             )
     names = list(reports)
     header = ["bin"] + names
-    rows = []
-    for b in range(bins.n_bins):
-        row: list = [b]
-        for name in names:
-            report = reports[name]
-            members = [r for r in report.per_relation if bins.bin_of_relation[r] == b]
-            if members:
-                row.append(_fmt(np.mean([report.per_relation[r].hits_at_10 for r in members])))
-            else:
-                row.append("")
-        rows.append(row)
+    hits = [bin_hits(reports[name].per_relation, bins) for name in names]
+    rows = [[b] + [_fmt(h[b]) if b in h else "" for h in hits] for b in range(bins.n_bins)]
     _write_csv(path, header, rows)
     _write_json_mirror(path, header, rows)
     return path

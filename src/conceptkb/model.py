@@ -12,7 +12,7 @@ and identity slices recover plain translation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -134,15 +134,7 @@ class ModelParams:
         return self.concept_tensor.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            entity_emb=self.entity_emb.copy(),
-            relation_emb=self.relation_emb.copy(),
-            concept_tensor=self.concept_tensor.copy(),
-            head_scores=self.head_scores.copy(),
-            tail_scores=self.tail_scores.copy(),
-            head_assign=self.head_assign.copy(),
-            tail_assign=self.tail_assign.copy(),
-        )
+        return ModelParams(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
     def scores(self, side: str) -> np.ndarray:
         return self.head_scores if side == SIDE_HEAD else self.tail_scores

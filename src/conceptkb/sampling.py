@@ -42,8 +42,6 @@ class DomainSampler:
     p_r: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if isinstance(self.rng, (int, np.integer)):
-            self.rng = np.random.default_rng(self.rng)
         p = np.zeros(self.store.n_relations)
         for r in self.store.by_relation:
             p[r] = domain_probability(self.store, r, self.lam)
@@ -56,11 +54,12 @@ class DomainSampler:
         return out
 
 
-def _head_probability(store: TripleStore, r: int) -> float:
+def _head_probability(store: TripleStore, r):
+    """The Bernoulli rule's tph/(tph+hpt) for relation ``r``, one id or an
+    array of them; 0.5 for a relation without training triples."""
     tph = store.tph[r]
-    hpt = store.hpt[r]
-    denom = tph + hpt
-    return 0.5 if denom == 0 else tph / denom
+    denom = tph + store.hpt[r]
+    return np.where(denom > 0, tph / np.where(denom > 0, denom, 1.0), 0.5)
 
 
 def _draw_replacement(
@@ -141,11 +140,7 @@ def corrupt_batch(
     if mode == "uniform" or (mode == "domain" and domain_side == "uniform"):
         replace_head = rng.random(B) < 0.5
     else:
-        tph = store.tph[r]
-        hpt = store.hpt[r]
-        denom = tph + hpt
-        p_head = np.where(denom > 0, tph / np.where(denom > 0, denom, 1.0), 0.5)
-        replace_head = rng.random(B) < p_head
+        replace_head = rng.random(B) < _head_probability(store, r)
 
     in_domain = np.zeros(B, dtype=bool)
     if mode == "domain":

@@ -232,6 +232,7 @@ class TestDomainSampling:
                 f"p_r={p:.3f}, estimates {est_head:.3f}/{est_tail:.3f} over 1e5 draws")
 
 
+@pytest.mark.slow
 class TestConceptRecovery:
     def test_criterion(self):
         """Each seeded run follows the engine's standard pipeline: a

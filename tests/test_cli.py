@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,8 +7,9 @@ import pytest
 
 import _synth
 from conceptkb.checkpoint import load_checkpoint
-from conceptkb.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, read_config_file
+from conceptkb.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, read_config_file
 from conceptkb.data import decode_triples, Vocab
+from conceptkb.model import Hyperparams
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,15 @@ def data_dir(tmp_path_factory):
 TRAIN_ARGS = ["--n", "6", "--m", "4", "--k", "2", "--gamma", "1", "--lr", "0.05",
               "--batch-size", "16", "--epochs", "3", "--eval-every", "0",
               "--init-noise-sd", "0.05", "--seed", "7"]
+
+
+def assert_one_line_exit(argv, code, capsys):
+    """``main(argv)`` returns ``code`` with a one-line message and no
+    traceback; returns the message."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
 
 
 @pytest.fixture
@@ -378,3 +389,73 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "n must be an integer" in err and "'abc'" in err
         assert "Traceback" not in err
+
+
+class TestBadInputFiles:
+    def test_non_utf8_triples_are_data_error(self, tmp_path, capsys):
+        (tmp_path / "train.txt").write_bytes(b"a\tr\tb\n\xff\tr\tc\n")
+        err = assert_one_line_exit(["train", "--data-dir", str(tmp_path), "--out",
+                                    str(tmp_path / "run"), *TRAIN_ARGS], EXIT_DATA, capsys)
+        assert str(tmp_path / "train.txt") in err
+
+    def test_config_directory_is_usage_error(self, tmp_path, capsys):
+        assert_one_line_exit(["train", "--config", str(tmp_path), "--dry-run"], EXIT_USAGE, capsys)
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"gamma=2\n\xff=1\n")
+        assert_one_line_exit(["train", "--config", str(cfg), "--dry-run"], EXIT_USAGE, capsys)
+
+    def test_missing_config_is_data_error(self, tmp_path, capsys):
+        assert_one_line_exit(["train", "--config", str(tmp_path / "none.cfg"), "--dry-run"],
+                             EXIT_DATA, capsys)
+
+    def test_checkpoint_without_relation_hash_is_data_error(self, data_dir, trained, tmp_path, capsys):
+        with np.load(trained) as archive:
+            arrays = dict(archive)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        del meta["relation_hash"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        assert_one_line_exit(["eval", "--checkpoint", str(bad), "--data-dir", str(data_dir),
+                              "--out", str(tmp_path / "eval")], EXIT_DATA, capsys)
+
+    @pytest.mark.parametrize("text", ["not json", '{"mean_rank": 1.0}', None],
+                             ids=["not-json", "no-key", "directory"])
+    def test_bad_report_is_data_error(self, data_dir, tmp_path, capsys, text):
+        report = tmp_path / "report.json"
+        if text is None:
+            report.mkdir()
+        else:
+            report.write_text(text, encoding="utf-8")
+        err = assert_one_line_exit(["export", "bins", "--data-dir", str(data_dir), "--report",
+                                    f"model={report}", "--out", str(tmp_path / "bins.csv")],
+                                   EXIT_DATA, capsys)
+        assert str(report) in err
+        assert not (tmp_path / "bins.csv").exists()
+
+
+class TestOptionLists:
+    """Every Hyperparams field has a flag on train and sweep and parses from
+    a config file into its own type."""
+
+    KINDS = {"int": int, "float": float, "str": str, "Optional[int]": int}
+
+    def test_every_field_has_train_and_sweep_flags(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        for command in ("train", "sweep"):
+            dests = {a.dest for a in sub.choices[command]._actions}
+            missing = [f.name for f in dataclasses.fields(Hyperparams) if f.name not in dests]
+            assert not missing, f"{command} lacks flags for {missing}"
+
+    def test_every_field_parses_to_its_type(self, tmp_path):
+        fields = dataclasses.fields(Hyperparams)
+        sample = {int: "3", float: "0.5"}
+        cfg = tmp_path / "all.cfg"
+        lines = [f"{f.name}={sample.get(self.KINDS[f.type], f.default)}\n" for f in fields]
+        cfg.write_text("".join(lines), encoding="utf-8")
+        parsed = read_config_file(cfg)
+        for f in fields:
+            assert type(parsed[f.name]) is self.KINDS[f.type], f.name

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import _synth
-from conceptkb.model import Hyperparams, init_params
+from conceptkb.model import Hyperparams, attention_vector, compose, init_params
 from conceptkb.training import (
     TrainingError,
     apply_gradients,
@@ -166,6 +166,118 @@ class TestGradientOracle:
             fd = finite_difference(params, hp, pos, neg, arr_name)
             denom = np.maximum(1e-6, np.maximum(np.abs(analytic[arr_name]), np.abs(fd)))
             assert (np.abs(analytic[arr_name] - fd) / denom).max() < 1e-4
+
+
+def reference_gradients(params, hp, pos, neg):
+    """Gradients of :func:`batch_loss`, one pair at a time.
+
+    Each side projects with its relation's composed matrix ``W``; a
+    projected row's coefficient ``c`` gives its entity ``W.T @ c`` and adds
+    ``c xᵀ`` to the relation side's adjoint ``S``.  Concept i then gets
+    ``α_i S`` and the score row ``α/τ·(a − α·a)`` with ``a_i = ⟨D_i, S⟩``,
+    or ``a + l1_coef·count·sign(score)`` in dense_l1 mode.
+    """
+    shared = hp.model != "transe"
+    emb, D = params.entity_emb, params.concept_tensor
+    out = {name: np.zeros_like(getattr(params, name)) for name in PARAM_ARRAYS}
+    adjoint, count = {}, {}
+
+    def norm_grad(u):
+        if hp.ell == 1:
+            return np.sign(u)
+        norm = np.sqrt(u @ u)
+        return u / norm if norm > 0 else np.zeros_like(u)
+
+    def norm(u):
+        return np.abs(u).sum() if hp.ell == 1 else np.sqrt(u @ u)
+
+    for (h, r, t), (h2, _, t2) in zip(pos.tolist(), neg.tolist()):
+        count[r] = count.get(r, 0) + 1
+        W = [compose(params, hp, side, [r])[2][0] if shared else np.eye(params.n)
+             for side in ("head", "tail")]
+        x = [(emb[h], emb[h2]), (emb[t], emb[t2])]
+        p = [[w @ e for e in pair] for w, pair in zip(W, x)]
+        u = [p[0][k] + params.relation_emb[r] - p[1][k] for k in range(2)]
+        active = hp.gamma + norm(u[0]) - norm(u[1]) > 0
+        g = [norm_grad(v) * active for v in u]
+        coef = [[g[0], -g[1]], [-g[0], g[1]]]
+        if shared and hp.proj_penalty > 0:
+            for side in range(2):
+                if p[side][0] @ p[side][0] > 1.0:
+                    coef[side][0] = coef[side][0] + 2.0 * hp.proj_penalty * p[side][0]
+        out["relation_emb"][r] += g[0] - g[1]
+        for side, ids in enumerate(((h, h2), (t, t2))):
+            for e_id, xk, ck in zip(ids, x[side], coef[side]):
+                out["entity_emb"][e_id] += W[side].T @ ck
+                adjoint.setdefault((r, side), np.zeros((params.n, params.n)))
+                adjoint[r, side] += np.outer(ck, xk)
+    if not shared:
+        return out
+    for (r, side), S in adjoint.items():
+        name = ("head", "tail")[side]
+        alpha = attention_vector(params, hp, r, name)
+        for i in range(params.m):
+            out["concept_tensor"][i] += alpha[i] * S
+        a = np.array([np.sum(D[i] * S) for i in range(params.m)])
+        if hp.attention_mode == "dense_l1":
+            sign = np.sign(params.scores(name)[r])
+            out[f"{name}_scores"][r] = a + hp.l1_coef * count[r] * sign
+        else:
+            out[f"{name}_scores"][r] = alpha / hp.tau * (a - alpha @ a)
+    return out
+
+
+def assert_matches_reference(params, hp, pos, neg):
+    """Every array within 1e-12 of its largest reference entry."""
+    got = dense_gradients(params, batch_gradients(params, hp, pos, neg)[1])
+    want = reference_gradients(params, hp, pos, neg)
+    for name in PARAM_ARRAYS:
+        scale = np.abs(want[name]).max()
+        err = np.abs(got[name] - want[name]).max()
+        assert err <= 1e-12 * scale, f"{name}: max abs err {err} at scale {scale}"
+
+
+def reference_hp(mode, model, **kw):
+    shape = dict(m=6, k=1) if model == "stranse" else dict(m=5, k=2)
+    base = dict(n=4, gamma=1.0, tau=0.5, epochs=1, init_noise_sd=0.4, l1_coef=0.05)
+    return Hyperparams(attention_mode=mode, model=model, **{**base, **shape, **kw})
+
+
+class TestGradientReference:
+    """batch_gradients against a plain per-pair reference at 1e-12."""
+
+    @pytest.mark.parametrize("penalty", [0.0, 1.0])
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("model", ["itransf", "stranse", "transe"])
+    @pytest.mark.parametrize("mode", ["sparse", "dense", "dense_l1"])
+    def test_matches_per_pair_reference(self, mode, model, ell, penalty):
+        hp = reference_hp(mode, model, ell=ell, proj_penalty=penalty)
+        for seed in range(3):
+            params, pos, neg = make_fd_instance(seed, hp, batch=12)
+            assert_matches_reference(params, hp, pos, neg)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_underflowing_softmax(self, mode, ell):
+        hp = reference_hp(mode, "itransf", ell=ell, tau=0.01)
+        params, pos, neg = make_fd_instance(4, hp, batch=12)
+        params.head_scores *= 80
+        params.tail_scores *= 80
+        alpha = np.concatenate([attention_vector(params, hp, r, side)
+                                for r in range(params.n_relations) for side in ("head", "tail")])
+        assert ((alpha == 0) & (alpha != alpha.max())).any()
+        assert_matches_reference(params, hp, pos, neg)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_clipped_dense_l1_weight_can_regrow(self, ell):
+        hp = reference_hp("dense_l1", "itransf", ell=ell)
+        params, pos, neg = make_fd_instance(6, hp, batch=12)
+        r = int(pos[0, 1])
+        params.head_scores[r, 1] = 0.0
+        assert_matches_reference(params, hp, pos, neg)
+        ids, rows = batch_gradients(params, hp, pos, neg)[1]["head_scores"]
+        # the full <D_1, S>: a zero sign leaves no l1 term, and nothing masks it
+        assert rows[np.searchsorted(ids, r), 1] != 0.0
 
 
 class TestSgdEpoch:
