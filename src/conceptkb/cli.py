@@ -137,6 +137,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
             resolved[key] = _coerce(key, flag_value)
     if getattr(args, "no_early_stop", False):
         resolved["early_stop_patience"] = 0
+    if (resolved["workers"] or 0) < 0:
+        raise UsageError(f"workers must be at least 0, got {resolved['workers']}")
     if resolved["data_dir"] is None:
         env = os.environ.get(ENV_DATA_DIR)
         if env:

@@ -6,6 +6,11 @@ candidates that would form another known-true triple (from any split);
 ties on energy count against the true entity only when the tying
 candidate has the lower id, which makes ranks independent of iteration
 order.
+
+Each relation side's candidates are projected with one GEMM into an
+(n, |E|) table, one column per entity.  A query's energies are then a few
+elementwise passes and a sum over the n rows, each running |E| long
+rather than n long, so numpy's per-call overhead no longer sets their cost.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from .data import DataError, FrequencyBins, TripleStore, Vocab
 from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
 
 HITS_CUTOFF = 10
-_ENERGY_BLOCK = 4096  # candidate rows per block of energies
+# candidate columns per block of energies.  Below about 2,700 columns the
+# broadcast add goes through numpy's buffered iterator and runs 2-3x slower.
+_ENERGY_BLOCK = 4096
 
 
 @dataclass
@@ -78,33 +85,41 @@ def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str,
     """Yield, for each fixed entity of ``others``, the energies of all |E|
     substitutions on ``side`` of relation r.
 
-    The projected entity table of ``side`` lives only while the generator
-    runs; the fixed entities are projected one at a time, so an energy does
-    not depend on which other queries share the call.
+    The projected entity table of ``side`` is column-major, (n, |E|), one
+    column per candidate, so every elementwise pass and the sum over the n
+    coordinates run |E| long.  It lives only while the generator runs; the
+    fixed entities are projected one at a time, so an energy does not
+    depend on which other queries share the call.
     """
     ent = params.entity_emb
     rv = params.relation_emb[r]
     if hp.model == "transe":
-        table = ent
+        table = np.ascontiguousarray(ent.T)
         w_other = None
     else:
         other_side = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
-        table = ent @ compose(params, hp, side, [r])[2][0].T
+        table = compose(params, hp, side, [r])[2][0] @ ent.T
         w_other = compose(params, hp, other_side, [r])[2][0]
+    n_cand = table.shape[1]
+    # candidates in column blocks: one small buffer serves every block and
+    # query instead of a table-sized temporary per query
+    buf = np.empty((table.shape[0], min(_ENERGY_BLOCK, n_cand)))
     for o in others.tolist():
         p = ent[o] if w_other is None else w_other @ ent[o]
-        fixed = rv - p if side == SIDE_HEAD else p + rv
-        out = np.empty(len(table))
-        # candidates in blocks: the temporary stays small and is reused
-        # from the heap instead of faulting in a table-sized one per query
-        for lo in range(0, len(table), _ENERGY_BLOCK):
-            block = table[lo:lo + _ENERGY_BLOCK]
-            buf = np.add(block, fixed) if side == SIDE_HEAD else np.subtract(fixed, block)
-            if hp.ell == 1:
-                np.abs(buf, out=buf)
+        fixed = (rv - p if side == SIDE_HEAD else p + rv)[:, None]
+        out = np.empty(n_cand)
+        for lo in range(0, n_cand, _ENERGY_BLOCK):
+            block = table[:, lo:lo + _ENERGY_BLOCK]
+            diff = buf[:, :block.shape[1]]
+            if side == SIDE_HEAD:
+                np.add(block, fixed, out=diff)
             else:
-                buf *= buf
-            buf.sum(axis=1, out=out[lo:lo + _ENERGY_BLOCK])
+                np.subtract(fixed, block, out=diff)
+            if hp.ell == 1:
+                np.abs(diff, out=diff)
+            else:
+                diff *= diff
+            diff.sum(axis=0, out=out[lo:lo + _ENERGY_BLOCK])
         if hp.ell == 2:
             np.sqrt(out, out=out)
         yield out

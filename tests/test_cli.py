@@ -170,6 +170,20 @@ class TestTrainCommand:
         assert code == EXIT_OK
         assert evaluate_workers == [int(flag) or os.cpu_count() or 1] * 2
 
+    @pytest.mark.parametrize("argv", [["train", "--dataset", "wn18", "--dry-run"],
+                                      ["eval", "--split", "test"]])
+    def test_negative_workers_flag_is_usage_error(self, data_dir, argv, capsys):
+        err = assert_one_line_exit([*argv, "--data-dir", str(data_dir), "--workers", "-2"],
+                                   EXIT_USAGE, capsys)
+        assert err == "error: workers must be at least 0, got -2\n"
+
+    def test_negative_workers_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("workers=-1\n", encoding="utf-8")
+        err = assert_one_line_exit(["train", "--dataset", "wn18", "--config", str(cfg), "--dry-run"],
+                                   EXIT_USAGE, capsys)
+        assert err == "error: workers must be at least 0, got -1\n"
+
     def test_warm_start_flows_through(self, data_dir, tmp_path):
         donor_dir = tmp_path / "donor"
         main(["train", "--data-dir", str(data_dir), "--out", str(donor_dir),

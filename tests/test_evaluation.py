@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _synth
+import conceptkb.evaluation as ev
 from conceptkb.data import bin_relations, build_store
 from conceptkb.evaluation import (
     evaluate,
@@ -13,7 +14,7 @@ from conceptkb.evaluation import (
     report_json,
     report_text,
 )
-from conceptkb.model import Hyperparams, energy, init_params
+from conceptkb.model import ATTENTION_MODES, MODELS, Hyperparams, energy, init_params
 
 
 def known_triples(store):
@@ -80,6 +81,58 @@ class TestRankQuery:
                 filt = rank_query(triple, side, tiny_params, tiny_store, tiny_hp, filtered=True)
                 raw = rank_query(triple, side, tiny_params, tiny_store, tiny_hp, filtered=False)
                 assert filt <= raw
+
+
+class TestCandidateEnergies:
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("mode", ATTENTION_MODES)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_match_scalar_energy(self, monkeypatch, model, mode, ell, side):
+        # 30 candidates in blocks of 7: four full blocks and a ragged one of 2
+        monkeypatch.setattr(ev, "_ENERGY_BLOCK", 7)
+        n_entities, n_relations = 30, 3
+        hp = Hyperparams(n=5, m=2 * n_relations, k=2, ell=ell, attention_mode=mode,
+                         model=model, init_noise_sd=0.3)
+        params = init_params(n_entities, n_relations, hp, seed=5)
+        rng = np.random.default_rng(6)
+        for scores in (params.head_scores, params.tail_scores):
+            scores[:] = np.abs(rng.normal(size=scores.shape))
+        others = np.array([0, 13, 29, 13])
+        for r in range(n_relations):
+            energies = ev._candidate_energies(params, hp, r, side, others)
+            for o, got in zip(others.tolist(), energies):
+                want = [energy(c, r, o, params, hp) if side == "head" else energy(o, r, c, params, hp)
+                        for c in range(n_entities)]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("model", ["itransf", "transe"])
+    def test_twin_entities_across_a_block_boundary(self, monkeypatch, model):
+        """Entities 7 and 8 have identical embeddings and sit in different
+        blocks of 8 candidates: each ties the other, and only the lower id
+        counts against the true entity."""
+        monkeypatch.setattr(ev, "_ENERGY_BLOCK", 8)
+        train = np.array([[7, 0, 3], [8, 0, 3], [3, 1, 7], [3, 1, 8], [1, 0, 2], [2, 1, 5]])
+        test = np.array([[7, 0, 3], [8, 0, 3], [3, 1, 7], [3, 1, 8], [8, 0, 11], [12, 1, 7],
+                         [7, 1, 8], [8, 1, 7]])
+        store = build_store(train, np.empty((0, 3), dtype=np.int64), test,
+                            n_entities=20, n_relations=2)
+        hp = Hyperparams(n=4, m=3, k=2, model=model, init_noise_sd=0.3)
+        params = init_params(store.n_entities, store.n_relations, hp, seed=8)
+        params.entity_emb[8] = params.entity_emb[7]
+        for filtered in (True, False):
+            report = evaluate(store.test, params, hp, store, filtered=filtered)
+            want = {0: [], 1: []}
+            for side in ("head", "tail"):
+                for triple in store.test:
+                    rank = brute_force_rank(triple, side, params, store, hp, filtered)
+                    assert rank_query(triple, side, params, store, hp, filtered=filtered) == rank
+                    want[int(triple[1])].append(rank)
+            for r, ranks in want.items():
+                assert report.per_relation[r].mean_rank == np.mean(ranks)
+            assert report.mean_rank == np.mean(want[0] + want[1])
 
 
 class TestEvaluate:
