@@ -27,8 +27,8 @@ from .data import DataError, FrequencyBins, TripleStore, Vocab
 from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
 
 HITS_CUTOFF = 10
-# candidate columns per block of energies.  Below about 2,700 columns the
-# broadcast add goes through numpy's buffered iterator and runs 2-3x slower.
+# widest of the near-equal blocks candidate columns are split into.  Below about
+# 2,700 columns the broadcast add goes through numpy's buffered iterator and runs 2-3x slower.
 _ENERGY_BLOCK = 4096
 
 
@@ -103,13 +103,15 @@ def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str,
     n_cand = table.shape[1]
     # candidates in column blocks: one small buffer serves every block and
     # query instead of a table-sized temporary per query
-    buf = np.empty((table.shape[0], min(_ENERGY_BLOCK, n_cand)))
+    n_blocks = -(-n_cand // _ENERGY_BLOCK)
+    width = -(-n_cand // n_blocks)
+    buf = np.empty((table.shape[0], width))
     for o in others.tolist():
         p = ent[o] if w_other is None else w_other @ ent[o]
         fixed = (rv - p if side == SIDE_HEAD else p + rv)[:, None]
         out = np.empty(n_cand)
-        for lo in range(0, n_cand, _ENERGY_BLOCK):
-            block = table[:, lo:lo + _ENERGY_BLOCK]
+        for lo in range(0, n_cand, width):
+            block = table[:, lo:lo + width]
             diff = buf[:, :block.shape[1]]
             if side == SIDE_HEAD:
                 np.add(block, fixed, out=diff)
@@ -119,7 +121,7 @@ def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str,
                 np.abs(diff, out=diff)
             else:
                 diff *= diff
-            diff.sum(axis=0, out=out[lo:lo + _ENERGY_BLOCK])
+            diff.sum(axis=0, out=out[lo:lo + width])
         if hp.ell == 2:
             np.sqrt(out, out=out)
         yield out

@@ -412,6 +412,16 @@ class TestBadInputFiles:
                                     str(tmp_path / "run"), *TRAIN_ARGS], EXIT_DATA, capsys)
         assert str(tmp_path / "train.txt") in err
 
+    @pytest.mark.parametrize("name", ["train.txt", "valid.txt"])
+    def test_triple_file_directory_is_data_error(self, data_dir, tmp_path, capsys, name):
+        for split in ("train.txt", "valid.txt", "test.txt"):
+            (tmp_path / split).write_bytes((data_dir / split).read_bytes())
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        err = assert_one_line_exit(["train", "--data-dir", str(tmp_path), "--out",
+                                    str(tmp_path / "run"), *TRAIN_ARGS], EXIT_DATA, capsys)
+        assert str(tmp_path / name) in err
+
     def test_config_directory_is_usage_error(self, tmp_path, capsys):
         assert_one_line_exit(["train", "--config", str(tmp_path), "--dry-run"], EXIT_USAGE, capsys)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -21,6 +22,87 @@ from conceptkb.data import (
 
 def write_triples(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_load_triples(path, vocab=None, extend=None):
+    """Plain per-line parser with its own vocabulary updates, the oracle
+    for :func:`load_triples`."""
+
+    def add(index, names, name):
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+        return index[name]
+
+    if vocab is None:
+        vocab = Vocab()
+        extend = True
+    elif extend is None:
+        extend = False
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise TripleParseError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                    )
+                head, rel, tail = fields
+                if extend:
+                    h = add(vocab.entity_index, vocab.entity_names, head)
+                    r = add(vocab.relation_index, vocab.relation_names, rel)
+                    t = add(vocab.entity_index, vocab.entity_names, tail)
+                else:
+                    try:
+                        h = vocab.entity_index[head]
+                    except KeyError:
+                        raise VocabularyError(f"{path}:{lineno}: unknown entity {head!r}") from None
+                    try:
+                        r = vocab.relation_index[rel]
+                    except KeyError:
+                        raise VocabularyError(f"{path}:{lineno}: unknown relation {rel!r}") from None
+                    try:
+                        t = vocab.entity_index[tail]
+                    except KeyError:
+                        raise VocabularyError(f"{path}:{lineno}: unknown entity {tail!r}") from None
+                rows.append((h, r, t))
+    except UnicodeDecodeError as exc:
+        raise TripleParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return np.asarray(rows, dtype=np.int64).reshape(len(rows), 3), vocab
+
+
+def _parse_outcome(parse, path, vocab, extend):
+    """The array and both name lists, or the exception type and message."""
+    try:
+        triples, vocab = parse(path, vocab, extend)
+    except DataError as exc:
+        return type(exc), str(exc)
+    assert triples.dtype == np.int64 and triples.ndim == 2 and triples.shape[1] == 3
+    assert vocab.entity_index == {n: i for i, n in enumerate(vocab.entity_names)}
+    assert vocab.relation_index == {n: i for i, n in enumerate(vocab.relation_names)}
+    return triples.tobytes(), len(triples), vocab.entity_names, vocab.relation_names
+
+
+# few names, so lines share them; empty, non-ASCII and line-break-like ones
+_NAMES = st.sampled_from(["a", "b", "", "é", "名前", "x y", "\x0b", "\u2028"])
+# mostly three fields; a line of zero fields is blank
+_LINE = st.sampled_from([3] * 12 + [0, 0, 2, 4]).flatmap(
+    lambda k: st.lists(_NAMES, min_size=k, max_size=k)).map("\t".join)
+_ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _triple_file(draw):
+    lines = draw(st.lists(st.tuples(_LINE, _ENDING), max_size=12))
+    data = "".join(line + end for line, end in lines).encode("utf-8")
+    if draw(st.booleans()) and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
 
 
 class TestLoadTriples:
@@ -86,6 +168,101 @@ class TestLoadTriples:
         write_triples(path, lines)
         triples, vocab = load_triples(path)
         assert decode_triples(triples, vocab) == lines
+
+
+class TestLoaderOracle:
+    """``load_triples`` against the plain per-line reference parser."""
+
+    @given(first=_triple_file(), second=_triple_file(), extend=st.sampled_from([None, True, False]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, tmp_path_factory, first, second, extend):
+        root = tmp_path_factory.mktemp("oracle")
+        (root / "train.txt").write_bytes(first)
+        (root / "test.txt").write_bytes(second)
+        start = _parse_outcome(reference_load_triples, root / "train.txt", None, None)
+        assert _parse_outcome(load_triples, root / "train.txt", None, None) == start
+        try:
+            _, vocab = reference_load_triples(root / "train.txt")
+        except DataError:
+            vocab = Vocab()
+        for vocab_arg in (vocab, None):
+            want = _parse_outcome(reference_load_triples, root / "test.txt", copy.deepcopy(vocab_arg), extend)
+            got = _parse_outcome(load_triples, root / "test.txt", copy.deepcopy(vocab_arg), extend)
+            assert got == want
+
+    @pytest.mark.parametrize("lines, error, lineno", [
+        (["a\tr\tb", "zzz\tr\tb", "too\tfew"], VocabularyError, 2),
+        (["a\tr\tb", "too\tfew", "zzz\tr\tb"], TripleParseError, 2),
+        (["a\tq\tzzz", "a\tr\tzzz"], VocabularyError, 1),
+        (["", "a\tr\tb\tc", "a\tr\tzzz"], TripleParseError, 2),
+    ], ids=["vocab-then-fields", "fields-then-vocab", "relation-before-tail", "blank-counted"])
+    def test_earlier_fault_wins(self, tmp_path, lines, error, lineno):
+        (tmp_path / "train.txt").write_text("a\tr\tb\n", encoding="utf-8")
+        write_triples(tmp_path / "test.txt", lines)
+        _, vocab = load_triples(tmp_path / "train.txt")
+        with pytest.raises(error, match=f"test.txt:{lineno}: ") as got:
+            load_triples(tmp_path / "test.txt", copy.deepcopy(vocab))
+        with pytest.raises(error) as want:
+            reference_load_triples(tmp_path / "test.txt", vocab)
+        assert str(got.value) == str(want.value)
+
+    def test_unreadable_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_triples(tmp_path)
+        with pytest.raises(DataError, match="missing.txt"):
+            load_triples(tmp_path / "missing.txt")
+
+
+def reference_store(train, valid, test, n_entities, n_relations):
+    """Per-relation set-based recomputation of every ``build_store`` field."""
+    rels = sorted({r for _, r, _ in train})
+    by_relation = {r: [row for row in train if row[1] == r] for r in rels}
+    heads = {r: sorted({h for h, _, _ in rows}) for r, rows in by_relation.items()}
+    tails = {r: sorted({t for _, _, t in rows}) for r, rows in by_relation.items()}
+    tph = [len(by_relation[r]) / len(heads[r]) if r in by_relation else 0.0 for r in range(n_relations)]
+    hpt = [len(by_relation[r]) / len(tails[r]) if r in by_relation else 0.0 for r in range(n_relations)]
+    known = sorted({(r * n_entities + h) * n_entities + t for h, r, t in train + valid + test})
+    return by_relation, heads, tails, tph, hpt, known
+
+
+@st.composite
+def _random_kb(draw):
+    n_entities = draw(st.integers(1, 9))
+    n_relations = draw(st.integers(1, 6))
+    row = st.lists(st.tuples(st.integers(0, n_entities - 1), st.integers(0, n_relations - 1),
+                             st.integers(0, n_entities - 1)).map(list), max_size=30)
+    train, valid, test = draw(row), draw(row), draw(row)
+    return train, valid, test, n_entities, n_relations + draw(st.integers(0, 3))
+
+
+class TestStoreOracle:
+    @given(kb=_random_kb())
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_matches_reference(self, kb):
+        train, valid, test, n_entities, n_relations = kb
+        arrays = [np.array(s, dtype=np.int64).reshape(-1, 3) for s in (train, valid, test)]
+        store = build_store(*arrays, n_entities=n_entities, n_relations=n_relations)
+        by_relation, heads, tails, tph, hpt, known = reference_store(train, valid, test,
+                                                                     n_entities, n_relations)
+        assert (store.n_entities, store.n_relations) == (n_entities, n_relations)
+        assert list(store.by_relation) == list(by_relation)
+        for r, rows in by_relation.items():
+            assert store.by_relation[r].dtype == np.int64
+            assert store.by_relation[r].tolist() == rows
+        for got, want in ((store.head_domain, heads), (store.tail_domain, tails)):
+            assert list(got) == list(want)
+            for r, dom in want.items():
+                assert got[r].dtype == np.int64 and got[r].tolist() == dom
+        assert store.tph.tobytes() == np.array(tph).tobytes()
+        assert store.hpt.tobytes() == np.array(hpt).tobytes()
+        assert store.all_known.dtype == np.int64 and store.all_known.tolist() == known
+
+    def test_empty_train(self):
+        store = build_store(np.empty((0, 3), dtype=np.int64), np.array([[0, 1, 2]]), None,
+                            n_entities=4, n_relations=3)
+        assert store.by_relation == {} and store.head_domain == {} and store.tail_domain == {}
+        assert store.tph.tolist() == [0.0] * 3 and store.hpt.tolist() == [0.0] * 3
+        assert store.all_known.tolist() == [(1 * 4 + 0) * 4 + 2]
 
 
 class TestBuildStore:

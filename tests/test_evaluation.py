@@ -89,8 +89,8 @@ class TestCandidateEnergies:
     @pytest.mark.parametrize("mode", ATTENTION_MODES)
     @pytest.mark.parametrize("model", MODELS)
     def test_match_scalar_energy(self, monkeypatch, model, mode, ell, side):
-        # 30 candidates in blocks of 7: four full blocks and a ragged one of 2
-        monkeypatch.setattr(ev, "_ENERGY_BLOCK", 7)
+        # 30 candidates in blocks of at most 8: three of 8 and a ragged one of 6
+        monkeypatch.setattr(ev, "_ENERGY_BLOCK", 8)
         n_entities, n_relations = 30, 3
         hp = Hyperparams(n=5, m=2 * n_relations, k=2, ell=ell, attention_mode=mode,
                          model=model, init_noise_sd=0.3)
@@ -107,18 +107,31 @@ class TestCandidateEnergies:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_block_width_keeps_bits(self, monkeypatch, ell, side):
+        hp = Hyperparams(n=5, m=4, k=2, ell=ell, init_noise_sd=0.3)
+        params = init_params(30, 2, hp, seed=5)
+        others = np.array([0, 13, 29])
+        whole = list(ev._candidate_energies(params, hp, 1, side, others))
+        for block in (7, 8, 16):  # blocks of 6, 8 (last 6) and 15 columns
+            monkeypatch.setattr(ev, "_ENERGY_BLOCK", block)
+            for got, want in zip(ev._candidate_energies(params, hp, 1, side, others), whole):
+                assert got.tobytes() == want.tobytes()
+
+
 class TestTieRule:
     @pytest.mark.parametrize("model", ["itransf", "transe"])
     def test_twin_entities_across_a_block_boundary(self, monkeypatch, model):
         """Entities 7 and 8 have identical embeddings and sit in different
-        blocks of 8 candidates: each ties the other, and only the lower id
-        counts against the true entity."""
+        blocks of 8 candidates (16 entities, two blocks): each ties the other,
+        and only the lower id counts against the true entity."""
         monkeypatch.setattr(ev, "_ENERGY_BLOCK", 8)
         train = np.array([[7, 0, 3], [8, 0, 3], [3, 1, 7], [3, 1, 8], [1, 0, 2], [2, 1, 5]])
         test = np.array([[7, 0, 3], [8, 0, 3], [3, 1, 7], [3, 1, 8], [8, 0, 11], [12, 1, 7],
                          [7, 1, 8], [8, 1, 7]])
         store = build_store(train, np.empty((0, 3), dtype=np.int64), test,
-                            n_entities=20, n_relations=2)
+                            n_entities=16, n_relations=2)
         hp = Hyperparams(n=4, m=3, k=2, model=model, init_noise_sd=0.3)
         params = init_params(store.n_entities, store.n_relations, hp, seed=8)
         params.entity_emb[8] = params.entity_emb[7]
