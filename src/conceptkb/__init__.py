@@ -21,26 +21,13 @@ from .data import (
     load_triples,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .evaluation import EvalReport, evaluate, rank_query
-from .model import (
-    AttentionSnapshot,
-    Hyperparams,
-    ModelParams,
-    attention_snapshot,
-    energy_itransf,
-    energy_stranse,
-    energy_transe,
-    init_params,
-    project,
-    single_matrix_energy,
-    sparse_softmax,
-)
-from .sampling import DomainSampler, corrupt, corrupt_batch, domain_probability
+from .evaluation import EvalReport, evaluate
+from .model import AttentionSnapshot, Hyperparams, ModelParams, attention_snapshot, init_params
+from .sampling import DomainSampler, corrupt_batch, domain_probability
 from .training import (
     TrainingError,
     TrainState,
     block_update,
-    hinge_loss,
     make_state,
     sgd_epoch,
     single_matrix_cost,
@@ -66,26 +53,17 @@ __all__ = [
     "bin_relations",
     "block_update",
     "build_store",
-    "corrupt",
     "corrupt_batch",
     "domain_probability",
-    "energy_itransf",
-    "energy_stranse",
-    "energy_transe",
     "evaluate",
-    "hinge_loss",
     "init_params",
     "load_checkpoint",
     "load_dataset",
     "load_triples",
     "make_state",
-    "project",
-    "rank_query",
     "save_checkpoint",
     "sgd_epoch",
     "single_matrix_cost",
-    "single_matrix_energy",
-    "sparse_softmax",
     "train",
 ]
 

@@ -108,15 +108,14 @@ def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str,
     buf = np.empty((table.shape[0], width))
     for o in others.tolist():
         p = ent[o] if w_other is None else w_other @ ent[o]
-        fixed = (rv - p if side == SIDE_HEAD else p + rv)[:, None]
+        # a tail candidate's difference p + r - c is negated, c - (p + r):
+        # the same norm, bit for bit, since fl(a - b) = -fl(b - a)
+        fixed = (rv - p if side == SIDE_HEAD else -(p + rv))[:, None]
         out = np.empty(n_cand)
         for lo in range(0, n_cand, width):
             block = table[:, lo:lo + width]
             diff = buf[:, :block.shape[1]]
-            if side == SIDE_HEAD:
-                np.add(block, fixed, out=diff)
-            else:
-                np.subtract(fixed, block, out=diff)
+            np.add(block, fixed, out=diff)
             if hp.ell == 1:
                 np.abs(diff, out=diff)
             else:
@@ -169,20 +168,6 @@ def _rank_side(
             ahead[keys[starts[i]:ends[i]] % n] = False
         ranks.append(1 + int(ahead.sum()))
     return ranks
-
-
-def rank_query(
-    triple,
-    side: str,
-    params: ModelParams,
-    store: TripleStore,
-    hp: Hyperparams,
-    filtered: bool = True,
-) -> int:
-    """Filtered (or raw) rank of the true entity for one query."""
-    h, r, t = (int(x) for x in triple)
-    triples = np.array([[h, r, t]], dtype=np.int64)
-    return _rank_side(params, hp, r, side, triples, store if filtered else None)[0]
 
 
 def evaluate(

@@ -260,7 +260,8 @@ def project(alpha: np.ndarray, concept_tensor: np.ndarray, e: np.ndarray) -> np.
 
 def attention_vector(params: ModelParams, hp: Hyperparams, r: int, side: str) -> np.ndarray:
     """Attention weights of one relation side under the current mode; the
-    scalar reference for :func:`attention`, used by the scalar energies.
+    scalar reference for :func:`attention`, used by
+    :func:`single_matrix_energy`.
 
     sparse:   softmax over the assignment support
     dense:    softmax over all m concepts
@@ -336,31 +337,6 @@ def vec_norm(u: np.ndarray, ell: int) -> float:
     return float(np.sqrt(u @ u))
 
 
-def energy_itransf(h: int, r: int, t: int, params: ModelParams, hp: Hyperparams) -> float:
-    """Translation energy in the attention-composed projection spaces."""
-    alpha_h = attention_vector(params, hp, r, SIDE_HEAD)
-    alpha_t = attention_vector(params, hp, r, SIDE_TAIL)
-    ph = project(alpha_h, params.concept_tensor, params.entity_emb[h])
-    pt = project(alpha_t, params.concept_tensor, params.entity_emb[t])
-    return vec_norm(ph + params.relation_emb[r] - pt, hp.ell)
-
-
-def energy_transe(h: int, r: int, t: int, params: ModelParams, hp: Hyperparams) -> float:
-    """Plain translation energy ``|h + r - t|`` in the chosen norm."""
-    u = params.entity_emb[h] + params.relation_emb[r] - params.entity_emb[t]
-    return vec_norm(u, hp.ell)
-
-
-def energy_stranse(h: int, r: int, t: int, params: ModelParams, hp: Hyperparams) -> float:
-    """Two-matrix baseline energy: slice 2r projects the head, 2r+1 the tail."""
-    if params.m != 2 * params.n_relations:
-        raise ValueError("params do not hold per-relation matrix pairs (m != 2*|R|)")
-    w1 = params.concept_tensor[2 * r]
-    w2 = params.concept_tensor[2 * r + 1]
-    u = w1 @ params.entity_emb[h] + params.relation_emb[r] - w2 @ params.entity_emb[t]
-    return vec_norm(u, hp.ell)
-
-
 def single_matrix_energy(
     side: str, i: int, h: int, r: int, t: int, params: ModelParams, hp: Hyperparams
 ) -> float:
@@ -378,13 +354,6 @@ def single_matrix_energy(
         ph = project(alpha_h, params.concept_tensor, params.entity_emb[h])
         pt = params.concept_tensor[i] @ params.entity_emb[t]
     return vec_norm(ph + params.relation_emb[r] - pt, hp.ell)
-
-
-def energy(h: int, r: int, t: int, params: ModelParams, hp: Hyperparams) -> float:
-    """Energy under the configured model family."""
-    if hp.model == "transe":
-        return energy_transe(h, r, t, params, hp)
-    return energy_itransf(h, r, t, params, hp)
 
 
 @dataclass

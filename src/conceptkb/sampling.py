@@ -54,9 +54,9 @@ class DomainSampler:
         return out
 
 
-def _head_probability(store: TripleStore, r):
-    """The Bernoulli rule's tph/(tph+hpt) for relation ``r``, one id or an
-    array of them; 0.5 for a relation without training triples."""
+def _head_probability(store: TripleStore, r: np.ndarray) -> np.ndarray:
+    """The Bernoulli rule's tph/(tph+hpt) for each relation id of the array
+    ``r``; 0.5 for a relation without training triples."""
     tph = store.tph[r]
     denom = tph + store.hpt[r]
     return np.where(denom > 0, tph / np.where(denom > 0, denom, 1.0), 0.5)
@@ -87,40 +87,6 @@ def _draw_replacement(
             return cand
 
 
-def corrupt(
-    triple,
-    store: TripleStore,
-    mode: str,
-    sampler: DomainSampler,
-    domain_side: str = "bernoulli",
-) -> tuple[int, int, int]:
-    """Produce one corrupted triple that differs from the source.
-
-    mode "uniform": side fair coin, replacement uniform over all entities.
-    mode "bernoulli": side by the tph/(tph+hpt) rule, replacement uniform.
-    mode "domain": side by ``domain_side`` ("bernoulli" or "uniform"), then
-    with probability p_r the replacement is drawn from the matching domain
-    set and from the full entity set otherwise.
-    """
-    h, r, t = (int(x) for x in triple)
-    rng = sampler.rng
-    if store.n_entities < 2:
-        raise ValueError("cannot corrupt triples with fewer than two entities")
-
-    if mode == "uniform" or (mode == "domain" and domain_side == "uniform"):
-        replace_head = rng.random() < 0.5
-    else:
-        replace_head = rng.random() < _head_probability(store, r)
-
-    domain = None
-    if mode == "domain" and rng.random() < sampler.p_r[r]:
-        domain = store.head_domain.get(r) if replace_head else store.tail_domain.get(r)
-
-    if replace_head:
-        return (_draw_replacement(rng, store.n_entities, h, domain), r, t)
-    return (h, r, _draw_replacement(rng, store.n_entities, t, domain))
-
-
 def corrupt_batch(
     triples: np.ndarray,
     store: TripleStore,
@@ -128,8 +94,15 @@ def corrupt_batch(
     sampler: DomainSampler,
     domain_side: str = "bernoulli",
 ) -> np.ndarray:
-    """Vectorized corruption of a (B, 3) batch; same distribution as
-    :func:`corrupt`, independent draw stream."""
+    """Produce one corrupted partner per row of a (B, 3) batch.
+
+    Each row differs from its source in exactly one side.  mode "uniform":
+    side fair coin, replacement uniform over all entities.  mode
+    "bernoulli": side by the tph/(tph+hpt) rule, replacement uniform.  mode
+    "domain": side by ``domain_side`` ("bernoulli" or "uniform"), then with
+    probability p_r the replacement is drawn from the matching domain set
+    and from the full entity set otherwise.
+    """
     if store.n_entities < 2:
         raise ValueError("cannot corrupt triples with fewer than two entities")
     triples = np.asarray(triples)

@@ -369,7 +369,7 @@ def _side_costs(
     hp: Hyperparams,
     seed: int,
     sampler: DomainSampler,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """All m single-concept costs of one relation side, vectorized.
 
     Concept i's difference vectors are ``D_i e - offset``, where ``e`` is
@@ -386,8 +386,6 @@ def _side_costs(
     energies.
     """
     pos, neg = _block_pairs(store, r, side, hp, hp.block_budget, seed, sampler)
-    if len(pos) == 0:
-        return None
     ent = params.entity_emb
     D = params.concept_tensor
     m, n, B = params.m, params.n, len(pos)
@@ -436,8 +434,6 @@ def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed:
     for r in store.by_relation:
         for side, out in ((SIDE_HEAD, new_head), (SIDE_TAIL, new_tail)):
             costs = _side_costs(store, r, side, params, hp, seed, sampler)
-            if costs is None:
-                continue
             out[r] = np.sort(np.argsort(costs, kind="stable")[: hp.k])
     changed = 0
     for assign, new in ((params.head_assign, new_head), (params.tail_assign, new_tail)):

@@ -8,23 +8,19 @@ skips with an explanation when the corpus is absent.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _synth
+from _oracles import energy_itransf, energy_stranse, energy_transe
 from conceptkb.cli import main
 from conceptkb.data import Vocab, build_store, decode_triples, load_dataset
-from conceptkb.evaluation import evaluate, rank_query
-from conceptkb.model import (
-    Hyperparams,
-    energy_stranse,
-    energy_transe,
-    energy_itransf,
-    init_params,
-    sparse_softmax,
-)
+from conceptkb.evaluation import evaluate
+from conceptkb.model import Hyperparams, init_params, sparse_softmax
 from conceptkb.sampling import DomainSampler, corrupt_batch, domain_probability
 from conceptkb.training import (
     batch_gradients,
@@ -34,7 +30,7 @@ from conceptkb.training import (
     single_matrix_cost,
     train,
 )
-from test_evaluation import brute_force_rank
+from test_evaluation import brute_force_rank, rank_one
 from test_training import (
     PARAM_ARRAYS,
     dense_gradients,
@@ -125,7 +121,7 @@ class TestRankingOracle:
             for triple in np.concatenate([store.valid, store.test]):
                 for side in ("head", "tail"):
                     for filtered in (True, False):
-                        got = rank_query(triple, side, params, store, hp, filtered=filtered)
+                        got = rank_one(triple, side, params, store, hp, filtered=filtered)
                         want = brute_force_rank(triple, side, params, store, hp, filtered)
                         if got != want:
                             verdict("ranking oracle", False,
@@ -232,32 +228,38 @@ class TestDomainSampling:
                 f"p_r={p:.3f}, estimates {est_head:.3f}/{est_tail:.3f} over 1e5 draws")
 
 
+def recovers_concepts(store, rpc: int, seed: int) -> bool:
+    """One seeded run of the engine's standard pipeline: a translation-model
+    warm start settles the entity geometry, then the shared-concept model
+    trains with support reassignment throughout.  True when the relations
+    of each cluster end on one common head and one common tail support."""
+    hp_warm = Hyperparams(n=8, m=1, k=1, gamma=4.0, ell=2, lr=0.07,
+                          batch_size=10, epochs=150, model="transe",
+                          sampling_mode="bernoulli")
+    warm, _ = train(store, hp_warm, seed=seed)
+    hp = Hyperparams(n=8, m=4, k=1, gamma=4.0, tau=0.25, ell=2, lr=0.07,
+                     batch_size=10, epochs=300, block_every=5, block_stop=300,
+                     init_noise_sd=0.05, sampling_mode="bernoulli",
+                     block_budget=None)
+    params, _ = train(store, hp, seed=seed, warm_start=warm)
+    for c in range(2):
+        ids = range(c * rpc, (c + 1) * rpc)
+        heads = {tuple(params.head_assign[j]) for j in ids}
+        tails = {tuple(params.tail_assign[j]) for j in ids}
+        if len(heads) != 1 or len(tails) != 1:
+            return False
+    return True
+
+
 @pytest.mark.slow
 class TestConceptRecovery:
     def test_criterion(self):
-        """Each seeded run follows the engine's standard pipeline: a
-        translation-model warm start settles the entity geometry, then the
-        shared-concept model trains with support reassignment throughout."""
+        """The 20 seeded runs are independent, so they share out over at
+        most two worker processes, never more than there are CPUs."""
         store, rpc = _synth.cluster_kb(123)
-        wins = 0
-        for seed in range(20):
-            hp_warm = Hyperparams(n=8, m=1, k=1, gamma=4.0, ell=2, lr=0.07,
-                                  batch_size=10, epochs=150, model="transe",
-                                  sampling_mode="bernoulli")
-            warm, _ = train(store, hp_warm, seed=seed)
-            hp = Hyperparams(n=8, m=4, k=1, gamma=4.0, tau=0.25, ell=2, lr=0.07,
-                             batch_size=10, epochs=300, block_every=5, block_stop=300,
-                             init_noise_sd=0.05, sampling_mode="bernoulli",
-                             block_budget=None)
-            params, _ = train(store, hp, seed=seed, warm_start=warm)
-            run_ok = True
-            for c in range(2):
-                ids = range(c * rpc, (c + 1) * rpc)
-                heads = {tuple(params.head_assign[j]) for j in ids}
-                tails = {tuple(params.tail_assign[j]) for j in ids}
-                if len(heads) != 1 or len(tails) != 1:
-                    run_ok = False
-            wins += run_ok
+        seeds = range(20)
+        with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+            wins = sum(pool.map(recovers_concepts, repeat(store), repeat(rpc), seeds))
         verdict("synthetic concept recovery", wins >= 18,
                 f"{wins}/20 seeded runs with cluster-identical supports")
 

@@ -5,21 +5,27 @@ import pytest
 
 import _synth
 import conceptkb.evaluation as ev
+from _oracles import energy
 from conceptkb.data import bin_relations, build_store
 from conceptkb.evaluation import (
     evaluate,
     load_report,
     per_relation_csv,
-    rank_query,
     report_json,
     report_text,
 )
-from conceptkb.model import ATTENTION_MODES, MODELS, Hyperparams, energy, init_params
+from conceptkb.model import ATTENTION_MODES, MODELS, Hyperparams, init_params
 
 
 def known_triples(store):
     """Every triple of the three splits, as a set of tuples."""
     return {tuple(row) for split in (store.train, store.valid, store.test) for row in split.tolist()}
+
+
+def rank_one(triple, side, params, store, hp, filtered=True):
+    """Rank of one query, through :func:`evaluate` on a one-row split."""
+    split = np.array([triple], dtype=np.int64)
+    return evaluate(split, params, hp, store, direction=side, filtered=filtered).mean_rank
 
 
 def brute_force_rank(triple, side, params, store, hp, filtered):
@@ -46,7 +52,7 @@ class TestRankQuery:
         params.entity_emb[h] = np.array([1.0, 0, 0, 0, 0])
         params.relation_emb[r] = np.array([0.0, 1.0, 0, 0, 0])
         params.entity_emb[t] = np.array([1.0, 1.0, 0, 0, 0])
-        assert rank_query((h, r, t), "tail", params, tiny_store, tiny_hp, filtered=False) == 1
+        assert rank_one((h, r, t), "tail", params, tiny_store, tiny_hp, filtered=False) == 1
 
     def test_direct_count(self):
         store = build_store(np.array([[0, 0, 1]], dtype=np.int64), n_entities=3)
@@ -57,7 +63,7 @@ class TestRankQuery:
         params.entity_emb[1] = [0.0, 1.0]   # true: |h - t| = sqrt(2)
         params.entity_emb[2] = [1.0, 0.1]   # closer than the true tail
         # energies for tail query (0, 0, ?): t=0 -> 0, t=1 -> sqrt2, t=2 -> 0.1
-        assert rank_query((0, 0, 1), "tail", params, store, hp, filtered=False) == 3
+        assert rank_one((0, 0, 1), "tail", params, store, hp, filtered=False) == 3
 
     def test_matches_brute_force_small(self, tiny_store, tiny_params, tiny_hp):
         # (0, 0, 1) sits in train and test; relation 2 is known only from
@@ -71,15 +77,15 @@ class TestRankQuery:
             for triple in np.concatenate([store.valid, store.test]):
                 for side in ("head", "tail"):
                     for filt in (True, False):
-                        got = rank_query(triple, side, params, store, tiny_hp, filtered=filt)
+                        got = rank_one(triple, side, params, store, tiny_hp, filtered=filt)
                         want = brute_force_rank(triple, side, params, store, tiny_hp, filt)
                         assert got == want
 
     def test_filtered_never_worse_than_raw(self, tiny_store, tiny_params, tiny_hp):
         for triple in tiny_store.test:
             for side in ("head", "tail"):
-                filt = rank_query(triple, side, tiny_params, tiny_store, tiny_hp, filtered=True)
-                raw = rank_query(triple, side, tiny_params, tiny_store, tiny_hp, filtered=False)
+                filt = rank_one(triple, side, tiny_params, tiny_store, tiny_hp, filtered=True)
+                raw = rank_one(triple, side, tiny_params, tiny_store, tiny_hp, filtered=False)
                 assert filt <= raw
 
 
@@ -141,7 +147,7 @@ class TestTieRule:
             for side in ("head", "tail"):
                 for triple in store.test:
                     rank = brute_force_rank(triple, side, params, store, hp, filtered)
-                    assert rank_query(triple, side, params, store, hp, filtered=filtered) == rank
+                    assert rank_one(triple, side, params, store, hp, filtered=filtered) == rank
                     want[int(triple[1])].append(rank)
             for r, ranks in want.items():
                 assert report.per_relation[r].mean_rank == np.mean(ranks)
@@ -227,7 +233,7 @@ class TestEvaluate:
         report = evaluate(tiny_store.test, params, hp, tiny_store)
         for triple in tiny_store.test:
             for side in ("head", "tail"):
-                got = rank_query(triple, side, params, tiny_store, hp)
+                got = rank_one(triple, side, params, tiny_store, hp)
                 want = brute_force_rank(triple, side, params, tiny_store, hp, True)
                 assert got == want
         assert 1 <= report.mean_rank <= tiny_store.n_entities

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import energy_itransf, energy_stranse, energy_transe
 from conceptkb.model import (
     AttentionSnapshot,
     Hyperparams,
@@ -11,9 +12,6 @@ from conceptkb.model import (
     attention_snapshot,
     attention_vector,
     compose,
-    energy_itransf,
-    energy_stranse,
-    energy_transe,
     init_params,
     project,
     single_matrix_energy,
@@ -406,3 +404,13 @@ class TestComposedMatrix:
             act, weights, _ = compose(params, hp, "head", rels)
             assert act.shape[1] == 2  # c comes from the widest support
             assert weights[1, 1] == 0.0 and weights[1, 0] == 1.0  # one-hot row is padded
+
+
+class TestPublicNames:
+    def test_all_resolves_and_star_import_succeeds(self):
+        import conceptkb
+
+        assert [name for name in conceptkb.__all__ if not hasattr(conceptkb, name)] == []
+        namespace: dict = {}
+        exec("from conceptkb import *", namespace)
+        assert set(conceptkb.__all__) <= namespace.keys()
