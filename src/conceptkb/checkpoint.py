@@ -3,7 +3,7 @@
 A checkpoint is a single ``.npz`` archive holding every parameter array
 plus a JSON metadata record (format version, hyperparameters, vocab
 hashes, and any extra run information).  Arrays are stored as float64 and
-reload bit-exact.
+reload bit-exact; a checkpoint holding a NaN or infinite value is refused.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Hyperparams, dict]:
                 f"checkpoint {path}: {name} has shape {arrays[name].shape}, expected {shape} "
                 f"for {E} entities, {R} relations, n={n}, m={m}"
             )
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"checkpoint {path}: {name} holds NaN or infinite values")
     return params, hp, meta
 
 

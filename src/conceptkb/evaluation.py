@@ -7,10 +7,15 @@ ties on energy count against the true entity only when the tying
 candidate has the lower id, which makes ranks independent of iteration
 order.
 
-Each relation side's candidates are projected with one GEMM into an
-(n, |E|) table, one column per entity.  A query's energies are then a few
-elementwise passes and a sum over the n rows, each running |E| long
-rather than n long, so numpy's per-call overhead no longer sets their cost.
+Candidates are screened in float32 and decided in float64.  Each relation
+side's candidates are projected with one float32 GEMM into an (n, |E|)
+table, one column per entity, and a query's screened energies are a few
+elementwise passes and a sum over the n rows, each running |E| long.  A
+proven bound δ covers every error of the screen: a candidate screened
+more than δ below the true entity's float64 energy is ahead of it, one
+more than δ above is not, and only the few within δ are re-scored in
+float64 and compared with the tie rule above.  Ranks are therefore those
+that the float64 re-score would give if it scored every candidate.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +36,11 @@ HITS_CUTOFF = 10
 # widest of the near-equal blocks candidate columns are split into.  Below about
 # 2,700 columns the broadcast add goes through numpy's buffered iterator and runs 2-3x slower.
 _ENERGY_BLOCK = 4096
+_U32 = 2.0**-24  # float32 unit roundoff
+# largest norm the float32 screen takes: every value it forms, squares
+# included, then stays far inside float32's range
+_NORM_LIMIT = 2.0**60
+_OUTWARD = np.array([-np.inf, np.inf], dtype=np.float32)
 
 
 @dataclass
@@ -81,41 +92,146 @@ class EvalReport:
         )
 
 
-def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str, others: np.ndarray):
-    """Yield, for each fixed entity of ``others``, the energies of all |E|
-    substitutions on ``side`` of relation r.
+def _max_row_norm(ent: np.ndarray, ell: int) -> float:
+    """Largest ell-norm of an entity row (NaN if any entry is), taken a
+    block of rows at a time so that no entity-sized temporary is made."""
+    return float(np.max([np.linalg.norm(ent[lo:lo + _ENERGY_BLOCK], ord=ell, axis=1).max()
+                         for lo in range(0, len(ent), _ENERGY_BLOCK)], initial=0.0))
 
-    The projected entity table of ``side`` is column-major, (n, |E|), one
-    column per candidate, so every elementwise pass and the sum over the n
-    coordinates run |E| long.  It lives only while the generator runs; the
-    fixed entities are projected one at a time, so an energy does not
-    depend on which other queries share the call.
+
+def _matrix_norm(w: np.ndarray, ell: int) -> float:
+    """Bound on the ell-operator norm of |W|: its largest column ell-1 norm
+    for ell 1; for ell 2 the geometric mean of that and its largest row
+    ell-1 norm, which bounds the spectral norm."""
+    a = np.abs(w)
+    col = a.sum(axis=0).max()
+    return float(col if ell == 1 else np.sqrt(col * a.sum(axis=1).max()))
+
+
+def _error_bound(n: int, w_norm: float, ent_norm: float, fixed_norm: float) -> float:
+    """δ: no candidate's screened energy is further than δ from its float64
+    re-score.
+
+    Let x = W e + f be a candidate's exact difference vector (W, e, f the
+    float64 values; transe takes W = I), X = ‖x‖ its exact energy and
+    a = |W||e| + |f| ≥ |x|.  With u = 2⁻²⁴ and γ_k = ku / (1 - ku), for
+    which γ_a + γ_b + γ_a γ_b ≤ γ_{a+b}:
+
+    - rounding W and e to float32 and the n-term GEMM, in any order and
+      with or without FMA, leave the table column T within γ_{n+2}|W||e|
+      of W e; rounding f and the add leave d = fl(T + fl(f)) within
+      γ_{n+4} a of x;
+    - ell 1: ‖a‖₁ ≤ B = (max column ell-1 norm of W)·‖e‖₁ + ‖f‖₁; the
+      n-term sum of |d| is within γ_{n-1}‖d‖₁ of ‖d‖₁, so the screened
+      energy is within γ_{n+4}B + γ_{n-1}(1 + γ_{n+4})B ≤ γ_{2n+3}B of X;
+    - ell 2: ‖a‖₂ ≤ B = ‖|W|‖₂‖e‖₂ + ‖f‖₂, and ‖|W|‖₂ is at most the
+      geometric mean of |W|'s largest column and row sums; |‖d‖₂ - X| ≤
+      ‖d - x‖₂ ≤ γ_{n+4}B; the sum of n rounded squares is Σd²(1 + θ) with
+      |θ| ≤ γ_n, so its root is within γ_n‖d‖₂ of ‖d‖₂, and the float32
+      square root adds u: within γ_{2n+5}B of X;
+    - the float64 re-score obeys the same bounds with u = 2⁻⁵³, below uB/2
+      for any n under 2²⁰, and so do the float64 norms behind B and the
+      forming of e_true ± δ, which err by at most 2⁻⁵²(X + δ);
+    - each float32 operation that underflows adds up to 2⁻¹⁵⁰ absolutely;
+      over a column's operations, and through the ell-2 square root, less
+      than (n + 2)·2⁻⁷⁴·(1 + ‖W‖ + ‖e‖).
+
+    So γ_{2n+8}B, plus the underflow term, covers the screen, the float64
+    re-score and the thresholds, with at least uB to spare.  ``w_norm`` and
+    ``ent_norm`` are the norms above with e the largest entity row; the
+    real entity norms are used, not assumed to be 1.
+    """
+    k = 2 * n + 8
+    gamma = k * _U32 / (1 - k * _U32)
+    return gamma * (w_norm * ent_norm + fixed_norm) + (n + 2) * 2.0**-74 * (1 + w_norm + ent_norm)
+
+
+def _rescore(ent: np.ndarray, w: np.ndarray | None, fixed: np.ndarray, ids, ell: int) -> np.ndarray:
+    """Float64 energies of the candidates ``ids`` against ``fixed``.
+
+    A candidate's bits do not depend on which others share the call, so two
+    equal entity rows tie exactly wherever they sit.  Each candidate is
+    projected by its own matrix-vector product (one GEMM over a gather sums
+    a column differently by width and position), and the n coordinates are
+    summed down the columns of a C-ordered (n, k) array, one add per row.
+    numpy sums a lone column pairwise, so one candidate is scored twice.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) == 0:
+        return np.empty(0)
+    cols = np.repeat(ids, 2) if len(ids) == 1 else ids
+    if w is None:
+        diff = ent[cols].T.copy()
+    else:
+        diff = np.stack([w @ ent[c] for c in cols.tolist()], axis=1)
+    diff += fixed[:, None]
+    if ell == 1:
+        np.abs(diff, out=diff)
+    else:
+        diff *= diff
+    out = diff.sum(axis=0)
+    if ell == 2:
+        np.sqrt(out, out=out)
+    return out[:len(ids)]
+
+
+def _candidate_energies(
+    params: ModelParams,
+    hp: Hyperparams,
+    r: int,
+    side: str,
+    others: np.ndarray,
+    ent32: np.ndarray,
+    ent_norm: float,
+):
+    """Yield, for each fixed entity of ``others``, ``(screened, delta,
+    rescore)``: the float32 energies of all |E| substitutions on ``side``
+    of relation r, the bound δ on their error, and a function that gives
+    the float64 energies of the candidate ids it is passed.
+
+    ``ent32`` is the entity rows as a float32 (n, |E|) table and
+    ``ent_norm`` their largest ell-norm.  The screen table of ``side`` is
+    column-major, one column per candidate, so every elementwise pass and
+    the sum over the n coordinates run |E| long.  It lives only while the
+    generator runs; the fixed entities are projected one at a time, so an
+    energy does not depend on which other queries share the call.  Raises
+    ValueError, naming the relation side, when the table or a fixed vector
+    is not finite or too large for float32.
     """
     ent = params.entity_emb
     rv = params.relation_emb[r]
     if hp.model == "transe":
-        table = np.ascontiguousarray(ent.T)
-        w_other = None
+        w = w_other = None
     else:
         other_side = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
-        table = compose(params, hp, side, [r])[2][0] @ ent.T
+        w = compose(params, hp, side, [r])[2][0]
         w_other = compose(params, hp, other_side, [r])[2][0]
+    w_norm = 1.0 if w is None else _matrix_norm(w, hp.ell)
+    if not (w_norm <= _NORM_LIMIT and ent_norm <= _NORM_LIMIT):
+        raise ValueError(f"relation {r} {side}: the candidate table is not finite "
+                         "or too large to rank")
+    table = ent32 if w is None else w.astype(np.float32) @ ent32
     n_cand = table.shape[1]
     # candidates in column blocks: one small buffer serves every block and
     # query instead of a table-sized temporary per query
     n_blocks = -(-n_cand // _ENERGY_BLOCK)
     width = -(-n_cand // n_blocks)
-    buf = np.empty((table.shape[0], width))
+    buf = np.empty((table.shape[0], width), dtype=np.float32)
     for o in others.tolist():
         p = ent[o] if w_other is None else w_other @ ent[o]
         # a tail candidate's difference p + r - c is negated, c - (p + r):
         # the same norm, bit for bit, since fl(a - b) = -fl(b - a)
-        fixed = (rv - p if side == SIDE_HEAD else -(p + rv))[:, None]
-        out = np.empty(n_cand)
+        fixed = rv - p if side == SIDE_HEAD else -(p + rv)
+        fixed_norm = np.linalg.norm(fixed, ord=hp.ell)
+        if not w_norm * ent_norm + fixed_norm <= _NORM_LIMIT:
+            raise ValueError(f"relation {r} {side}: the fixed vector of entity {o} is not finite "
+                             "or too large to rank")
+        fixed32 = fixed.astype(np.float32)[:, None]
+        out = np.empty(n_cand, dtype=np.float32)
         for lo in range(0, n_cand, width):
             block = table[:, lo:lo + width]
             diff = buf[:, :block.shape[1]]
-            np.add(block, fixed, out=diff)
+            np.add(block, fixed32, out=diff)
             if hp.ell == 1:
                 np.abs(diff, out=diff)
             else:
@@ -123,7 +239,8 @@ def _candidate_energies(params: ModelParams, hp: Hyperparams, r: int, side: str,
             diff.sum(axis=0, out=out[lo:lo + width])
         if hp.ell == 2:
             np.sqrt(out, out=out)
-        yield out
+        delta = _error_bound(hp.n, w_norm, ent_norm, fixed_norm)
+        yield out, delta, partial(_rescore, ent, w, fixed, ell=hp.ell)
 
 
 def _known(store: TripleStore, r: int) -> np.ndarray:
@@ -141,11 +258,14 @@ def _rank_side(
     side: str,
     triples: np.ndarray,
     store: TripleStore | None,
+    ent32: np.ndarray,
+    ent_norm: float,
 ) -> list[int]:
     """Ranks of the true ``side`` entity of every triple of relation r.
 
     ``store`` supplies the known triples to filter by, or is None for raw
-    ranks.
+    ranks.  The float32 screen settles every candidate more than δ from the
+    true entity's float64 energy; the rest are re-scored in float64.
     """
     true_col, other_col = (0, 2) if side == SIDE_HEAD else (2, 0)
     others = triples[:, other_col]
@@ -159,14 +279,26 @@ def _rank_side(
         starts = np.searchsorted(keys, others * n)
         ends = np.searchsorted(keys, others * n + n)
     ranks = []
-    energies = _candidate_energies(params, hp, r, side, others)
-    for i, (true_id, e) in enumerate(zip(triples[:, true_col].tolist(), energies)):
-        e_true = e[true_id]
-        ahead = e < e_true
-        ahead[:true_id] |= e[:true_id] == e_true
+    energies = _candidate_energies(params, hp, r, side, others, ent32, ent_norm)
+    true_ids = triples[:, true_col].tolist()
+    for i, (true_id, (screened, delta, rescore)) in enumerate(zip(true_ids, energies)):
+        e_true = rescore([true_id])[0]
+        # float32 thresholds one step outside e_true ± δ, so that rounding
+        # them cannot narrow the band
+        edges = np.array([e_true - delta, e_true + delta], dtype=np.float32)
+        lo, hi = np.nextafter(edges, _OUTWARD)
+        ahead = screened < lo
+        band = screened <= hi
         if store is not None:
-            ahead[keys[starts[i]:ends[i]] % n] = False
-        ranks.append(1 + int(ahead.sum()))
+            known = keys[starts[i]:ends[i]] % n
+            ahead[known] = False
+            band[known] = False
+        band ^= ahead  # the candidates within δ of e_true
+        band[true_id] = False
+        ids = np.flatnonzero(band)
+        e = rescore(ids)
+        close = (e < e_true) | ((e == e_true) & (ids < true_id))
+        ranks.append(1 + int(np.count_nonzero(ahead)) + int(np.count_nonzero(close)))
     return ranks
 
 
@@ -182,11 +314,13 @@ def evaluate(
 ) -> EvalReport:
     """Rank every triple of ``split`` on the requested side(s) and aggregate.
 
-    Queries are ranked one relation at a time, so at most one projected
-    entity table per worker is alive.  Mean rank and hits@10 weight every
+    Queries are ranked one relation at a time, so at most one float32
+    candidate table per worker is alive, beside one float32 copy of the
+    entity rows that the workers share.  Mean rank and hits@10 weight every
     query equally; the optional per-bin table averages the per-relation
     hits@10 inside each frequency bin, so every relation counts once
-    regardless of its test frequency.
+    regardless of its test frequency.  Raises ValueError, naming the
+    relation side, when a candidate table or fixed vector is not finite.
     """
     split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
     sides = {
@@ -196,10 +330,13 @@ def evaluate(
     }[direction]
 
     filter_by = store if filtered else None
+    ent32 = np.ascontiguousarray(params.entity_emb.T, dtype=np.float32)
+    ent_norm = _max_row_norm(params.entity_emb, hp.ell)
 
     def rank_relation(r: int) -> tuple[np.ndarray, list[list[int]]]:
         rows = np.flatnonzero(split[:, 1] == r)
-        return rows, [_rank_side(params, hp, r, side, split[rows], filter_by) for side in sides]
+        return rows, [_rank_side(params, hp, r, side, split[rows], filter_by, ent32, ent_norm)
+                      for side in sides]
 
     relations = np.unique(split[:, 1]).tolist()
     if workers > 1 and len(relations) > 1:

@@ -135,6 +135,18 @@ def test_shape_mismatch_rejected(saved, name):
         load_checkpoint(saved)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["entity_emb", "relation_emb", "concept_tensor", "head_scores",
+                                  "tail_scores"])
+def test_non_finite_array_rejected(saved, name, value):
+    def edit(arrays, meta):
+        arrays[name].flat[-1] = value
+
+    _rewrite(saved, edit)
+    with pytest.raises(CheckpointError, match=f"{name} holds NaN or infinite values"):
+        load_checkpoint(saved)
+
+
 def test_bad_checkpoint_is_data_exit_code(saved, tmp_path):
     from conceptkb.cli import EXIT_DATA, main
 

@@ -445,6 +445,18 @@ class TestBadInputFiles:
         assert_one_line_exit(["eval", "--checkpoint", str(bad), "--data-dir", str(data_dir),
                               "--out", str(tmp_path / "eval")], EXIT_DATA, capsys)
 
+    def test_checkpoint_with_nan_concepts_is_data_error(self, data_dir, trained, tmp_path, capsys):
+        """NaN concepts used to rank every true entity first (mean rank 1.0)."""
+        with np.load(trained) as archive:
+            arrays = dict(archive)
+        arrays["concept_tensor"] = np.full_like(arrays["concept_tensor"], np.nan)
+        bad = tmp_path / "nan.npz"
+        np.savez(bad, **arrays)
+        err = assert_one_line_exit(["eval", "--checkpoint", str(bad), "--data-dir", str(data_dir),
+                                    "--out", str(tmp_path / "eval")], EXIT_DATA, capsys)
+        assert "concept_tensor" in err
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("text", ["not json", '{"mean_rank": 1.0}', None],
                              ids=["not-json", "no-key", "directory"])
     def test_bad_report_is_data_error(self, data_dir, tmp_path, capsys, text):
