@@ -241,16 +241,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if len(split) == 0:
         raise DataError(f"split {args.split!r} is empty")
     bins = bin_relations(store, args.bins) if args.bins else None
-    report = evaluate(
-        split,
-        params,
-        hp,
-        store,
-        direction=args.direction,
-        filtered=not args.raw,
-        bins=bins,
-        workers=_workers(resolved),
-    )
+    try:
+        report = evaluate(
+            split,
+            params,
+            hp,
+            store,
+            direction=args.direction,
+            filtered=not args.raw,
+            bins=bins,
+            workers=_workers(resolved),
+        )
+    except ValueError as exc:
+        raise DataError(f"{args.checkpoint}: {exc}") from None
     out_dir = Path(args.out) if args.out else Path("eval_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_file(out_dir / "config.cfg", resolved)

@@ -11,11 +11,12 @@ Candidates are screened in float32 and decided in float64.  Each relation
 side's candidates are projected with one float32 GEMM into an (n, |E|)
 table, one column per entity, and a query's screened energies are a few
 elementwise passes and a sum over the n rows, each running |E| long.  A
-proven bound δ covers every error of the screen: a candidate screened
-more than δ below the true entity's float64 energy is ahead of it, one
-more than δ above is not, and only the few within δ are re-scored in
-float64 and compared with the tie rule above.  Ranks are therefore those
-that the float64 re-score would give if it scored every candidate.
+proven bound δ (:mod:`conceptkb.bounds`) covers every error of the
+screen: a candidate screened more than δ below the true entity's float64
+energy is ahead of it, one more than δ above is not, and only the few
+within δ are re-scored in float64 and compared with the tie rule above.
+Ranks are therefore those that the float64 re-score would give if it
+scored every candidate.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm
 from .data import DataError, FrequencyBins, TripleStore, Vocab
 from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
 
@@ -36,10 +38,6 @@ HITS_CUTOFF = 10
 # widest of the near-equal blocks candidate columns are split into.  Below about
 # 2,700 columns the broadcast add goes through numpy's buffered iterator and runs 2-3x slower.
 _ENERGY_BLOCK = 4096
-_U32 = 2.0**-24  # float32 unit roundoff
-# largest norm the float32 screen takes: every value it forms, squares
-# included, then stays far inside float32's range
-_NORM_LIMIT = 2.0**60
 _OUTWARD = np.array([-np.inf, np.inf], dtype=np.float32)
 
 
@@ -97,53 +95,6 @@ def _max_row_norm(ent: np.ndarray, ell: int) -> float:
     block of rows at a time so that no entity-sized temporary is made."""
     return float(np.max([np.linalg.norm(ent[lo:lo + _ENERGY_BLOCK], ord=ell, axis=1).max()
                          for lo in range(0, len(ent), _ENERGY_BLOCK)], initial=0.0))
-
-
-def _matrix_norm(w: np.ndarray, ell: int) -> float:
-    """Bound on the ell-operator norm of |W|: its largest column ell-1 norm
-    for ell 1; for ell 2 the geometric mean of that and its largest row
-    ell-1 norm, which bounds the spectral norm."""
-    a = np.abs(w)
-    col = a.sum(axis=0).max()
-    return float(col if ell == 1 else np.sqrt(col * a.sum(axis=1).max()))
-
-
-def _error_bound(n: int, w_norm: float, ent_norm: float, fixed_norm: float) -> float:
-    """δ: no candidate's screened energy is further than δ from its float64
-    re-score.
-
-    Let x = W e + f be a candidate's exact difference vector (W, e, f the
-    float64 values; transe takes W = I), X = ‖x‖ its exact energy and
-    a = |W||e| + |f| ≥ |x|.  With u = 2⁻²⁴ and γ_k = ku / (1 - ku), for
-    which γ_a + γ_b + γ_a γ_b ≤ γ_{a+b}:
-
-    - rounding W and e to float32 and the n-term GEMM, in any order and
-      with or without FMA, leave the table column T within γ_{n+2}|W||e|
-      of W e; rounding f and the add leave d = fl(T + fl(f)) within
-      γ_{n+4} a of x;
-    - ell 1: ‖a‖₁ ≤ B = (max column ell-1 norm of W)·‖e‖₁ + ‖f‖₁; the
-      n-term sum of |d| is within γ_{n-1}‖d‖₁ of ‖d‖₁, so the screened
-      energy is within γ_{n+4}B + γ_{n-1}(1 + γ_{n+4})B ≤ γ_{2n+3}B of X;
-    - ell 2: ‖a‖₂ ≤ B = ‖|W|‖₂‖e‖₂ + ‖f‖₂, and ‖|W|‖₂ is at most the
-      geometric mean of |W|'s largest column and row sums; |‖d‖₂ - X| ≤
-      ‖d - x‖₂ ≤ γ_{n+4}B; the sum of n rounded squares is Σd²(1 + θ) with
-      |θ| ≤ γ_n, so its root is within γ_n‖d‖₂ of ‖d‖₂, and the float32
-      square root adds u: within γ_{2n+5}B of X;
-    - the float64 re-score obeys the same bounds with u = 2⁻⁵³, below uB/2
-      for any n under 2²⁰, and so do the float64 norms behind B and the
-      forming of e_true ± δ, which err by at most 2⁻⁵²(X + δ);
-    - each float32 operation that underflows adds up to 2⁻¹⁵⁰ absolutely;
-      over a column's operations, and through the ell-2 square root, less
-      than (n + 2)·2⁻⁷⁴·(1 + ‖W‖ + ‖e‖).
-
-    So γ_{2n+8}B, plus the underflow term, covers the screen, the float64
-    re-score and the thresholds, with at least uB to spare.  ``w_norm`` and
-    ``ent_norm`` are the norms above with e the largest entity row; the
-    real entity norms are used, not assumed to be 1.
-    """
-    k = 2 * n + 8
-    gamma = k * _U32 / (1 - k * _U32)
-    return gamma * (w_norm * ent_norm + fixed_norm) + (n + 2) * 2.0**-74 * (1 + w_norm + ent_norm)
 
 
 def _rescore(ent: np.ndarray, w: np.ndarray | None, fixed: np.ndarray, ids, ell: int) -> np.ndarray:

@@ -16,11 +16,13 @@ one contiguous slice that is projected and differentiated with a few
 matmuls.  Gradients come back in one format for every parameter array:
 the sorted unique ids of the touched rows and their gradient rows.
 
-Block reassignment scores a relation side's concepts in chunks under a
-fixed byte cap (:data:`BLOCK_CHUNK_BYTES`), each chunk with one BLAS
-product per pass over its pairs.  Its costs agree with the scalar
-:func:`single_matrix_cost` to rounding, not bitwise; the supports it picks
-are the stable bottom-k of those costs.
+Block reassignment screens a relation side's concepts in float32, in
+chunks under a fixed byte cap (:data:`BLOCK_CHUNK_BYTES`), each chunk with
+one BLAS product per pass over its pairs.  A proven bound on each screened
+cost (:mod:`conceptkb.bounds`) rules out every concept that cannot be among
+the k cheapest; the few left are re-scored in float64, one concept at a
+time, and the support is the stable bottom-k of those float64 costs.  They
+agree with the scalar :func:`single_matrix_cost` to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm
 from .data import TripleStore
 from .model import (
     SIDE_HEAD,
@@ -43,8 +46,8 @@ from .model import (
 from .sampling import DomainSampler, corrupt_batch
 
 
-# byte cap of the (B, c, n) buffer that block scoring projects a chunk of
-# c concepts into; 32 MiB holds 83 concepts of 500 pairs at n=100
+# byte cap of the float32 (B, c, n) buffer that the block screen projects a
+# chunk of c concepts into; 32 MiB holds 167 concepts of 500 pairs at n=100
 BLOCK_CHUNK_BYTES = 32 * 2**20
 
 
@@ -369,21 +372,44 @@ def _side_costs(
     hp: Hyperparams,
     seed: int,
     sampler: DomainSampler,
-) -> np.ndarray:
-    """All m single-concept costs of one relation side, vectorized.
+    concepts32: np.ndarray,
+    concept_norms: np.ndarray,
+):
+    """Screen the m single-concept costs of one relation side in float32.
+
+    Returns ``(screened, delta, rescore)``: the screened costs, a bound
+    ``delta`` on each one's distance from its float64 cost, and a function
+    that gives the float64 costs of the concept ids it is passed.
+    ``concepts32`` is the concept tensor in float32 and ``concept_norms``
+    holds :func:`_matrix_norm` of every concept.
 
     Concept i's difference vectors are ``D_i e - offset``, where ``e`` is
     the scored side's entity and ``offset`` folds in the other side:
     ``P_tail t - r`` when scoring heads, ``P_head h + r`` when scoring tails
     (the negated difference, with the same norm).
 
-    The concepts are scored in chunks of as many as fit a (B, c, n) buffer
-    of :data:`BLOCK_CHUNK_BYTES`, so memory does not grow with the number
-    of pairs B when ``block_budget`` is None.  Each pass (positives, then
-    corrupted pairs) projects its B entities through a chunk's c concepts
-    as one BLAS product ``e @ D[chunk].reshape(c·n, n).T`` into that
-    buffer, subtracts the offset and reduces over n into the pass's (B, m)
-    energies.
+    The screen scores the concepts in chunks of as many as fit a float32
+    (B, c, n) buffer of :data:`BLOCK_CHUNK_BYTES`, so memory does not grow
+    with the number of pairs B when ``block_budget`` is None.  Each pass
+    (positives, then corrupted pairs) projects its B entities through a
+    chunk's c concepts as one float32 GEMM ``e @ D[chunk].reshape(c·n, n).T``
+    into that buffer, subtracts the offset and reduces over n into the
+    pass's (B, m) energies; the hinges and their sum are formed in float64.
+
+    The bound: by :func:`_error_bound`, each screened energy is within
+    δ_b = _error_bound(n, ‖|D_i|‖, ‖e_b‖, ‖offset_b‖) of its float64
+    re-score, with u·B_b (B_b = ‖|D_i|‖‖e_b‖ + ‖offset_b‖) to spare.  The
+    hinge max(γ + x - y, 0) is 1-Lipschitz in x and in y, so the exact
+    hinge sums of the two sets of energies differ by at most Σ δ_b over
+    both passes.  Forming each hinge and summing B of them in float64, in
+    any order, errs by at most γ'_{B+1}·Σ_b(γ + x_b + y_b) with
+    γ'_k = k2⁻⁵³ / (1 - k2⁻⁵³); for both costs together, and B under 2²⁶,
+    that is less than the uB_b left over plus (B + 2)·2⁻⁵²·Bγ.  So
+    ``delta`` = Σ δ_b + (B + 2)·2⁻⁵²·Bγ, and since ``_error_bound`` is
+    affine in the two vector norms, Σ δ_b is 2B times its value at their
+    means.  Raises :class:`TrainingError`, naming the relation side, when
+    a concept, an entity row or an offset is not finite or too large for
+    the screen.
     """
     pos, neg = _block_pairs(store, r, side, hp, hp.block_budget, seed, sampler)
     ent = params.entity_emb
@@ -393,31 +419,55 @@ def _side_costs(
     w_other = compose(params, hp, other, [r])[2][0]
     rv = -params.relation_emb[r] if side == SIDE_HEAD else params.relation_emb[r]
     var, fixed = (0, 2) if side == SIDE_HEAD else (2, 0)
-    chunk = min(m, max(1, BLOCK_CHUNK_BYTES // (8 * B * n)))
-    flat = np.empty(B * chunk * n)
-    energies = np.empty((2, B, m))
-    for k, pairs in enumerate((pos, neg)):
+    passes = []
+    for pairs in (pos, neg):
         offset = ent[pairs[:, fixed]] @ w_other.T
         offset += rv
-        offset = offset[:, None]
-        e = ent[pairs[:, var]]
+        passes.append((ent[pairs[:, var]], offset))
+    ent_norms = np.concatenate([_norms(e, hp.ell) for e, _ in passes])
+    offset_norms = np.concatenate([_norms(offset, hp.ell) for _, offset in passes])
+    w_max, e_max, f_max = (float(np.max(a, initial=0.0))
+                           for a in (concept_norms, ent_norms, offset_norms))
+    if not (w_max <= _NORM_LIMIT and e_max <= _NORM_LIMIT and w_max * e_max + f_max <= _NORM_LIMIT):
+        raise TrainingError(f"relation {r} {side}: a concept, entity row or offset is not finite "
+                            "or too large to score")
+
+    chunk = min(m, max(1, BLOCK_CHUNK_BYTES // (4 * B * n)))
+    flat = np.empty(B * chunk * n, dtype=np.float32)
+    energies = np.empty((2, B, m), dtype=np.float32)
+    for k, (e, offset) in enumerate(passes):
+        e32 = e.astype(np.float32)
+        offset32 = offset.astype(np.float32)[:, None]
         for lo in range(0, m, chunk):
             c = min(chunk, m - lo)
             buf = flat[: B * c * n].reshape(B, c * n)
-            np.matmul(e, D[lo:lo + c].reshape(c * n, n).T, out=buf)
+            np.matmul(e32, concepts32[lo:lo + c].reshape(c * n, n).T, out=buf)
             u = buf.reshape(B, c, n)
-            u -= offset
+            u -= offset32
+            # einsum sums over n in one pass, 2x faster than sum() here
+            out = energies[k, :, lo:lo + c]
             if hp.ell == 1:
-                np.abs(u, out=u).sum(axis=2, out=energies[k, :, lo:lo + c])
+                np.einsum("bcn->bc", np.abs(u, out=u), out=out)
             else:
-                u *= u
-                np.sqrt(u.sum(axis=2), out=energies[k, :, lo:lo + c])
-        del offset, e  # freed before the next pass gathers its own rows
-    # the hinge in place: no (B, m) temporaries beside the chunk buffer
-    hinge, neg_energy = energies
+                np.sqrt(np.einsum("bcn,bcn->bc", u, u, out=out), out=out)
+    del flat  # freed before the float64 hinges are formed
+    hinge = energies[0].astype(np.float64)
     hinge += hp.gamma
-    hinge -= neg_energy
-    return np.maximum(hinge, 0.0, out=hinge).sum(axis=0)
+    hinge -= energies[1]
+    screened = np.maximum(hinge, 0.0, out=hinge).sum(axis=0)
+    delta = (2 * B * _error_bound(n, concept_norms, ent_norms.mean(), offset_norms.mean())
+             + (B + 2) * 2.0**-52 * B * hp.gamma)
+
+    def rescore(ids) -> np.ndarray:
+        """Float64 costs of the concepts ``ids``, each projected by its own
+        GEMM so that its bits do not depend on which others share the call."""
+        costs = np.empty(len(ids))
+        for j, i in enumerate(np.asarray(ids).tolist()):
+            x, y = (_norms(e @ D[i].T - offset, hp.ell) for e, offset in passes)
+            costs[j] = np.maximum(hp.gamma + x - y, 0.0).sum()
+        return costs
+
+    return screened, delta, rescore
 
 
 def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed: int = 0) -> int:
@@ -427,14 +477,30 @@ def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed:
     Costs for both sides are computed against the pre-update attentions
     (a simultaneous update), and ties keep the lower concept index.
     Relations absent from training keep their current supports.
+
+    Each side is screened in float32 (:func:`_side_costs`), which bounds
+    every cost to ĉᵢ ± Δᵢ.  With T the k-th smallest ĉᵢ + Δᵢ, at least k
+    concepts cost at most T, so a concept with ĉᵢ - Δᵢ > T costs more than
+    the k-th smallest and cannot be among the bottom k, ties included.
+    The rest are re-scored in float64 and the support is the stable
+    bottom-k of those costs: the one the float64 costs of all m concepts
+    would give.  Raises :class:`TrainingError` on parameters the screen
+    cannot take.
     """
     sampler = DomainSampler(store, hp.domain_lambda)
+    concepts32 = params.concept_tensor.astype(np.float32)
+    concept_norms = np.array([_matrix_norm(d, hp.ell) for d in params.concept_tensor])
     new_head: dict[int, np.ndarray] = {}
     new_tail: dict[int, np.ndarray] = {}
     for r in store.by_relation:
         for side, out in ((SIDE_HEAD, new_head), (SIDE_TAIL, new_tail)):
-            costs = _side_costs(store, r, side, params, hp, seed, sampler)
-            out[r] = np.sort(np.argsort(costs, kind="stable")[: hp.k])
+            screened, delta, rescore = _side_costs(store, r, side, params, hp, seed, sampler,
+                                                   concepts32, concept_norms)
+            # bounds stepped outward, so that rounding them cannot narrow the band
+            upper = np.nextafter(screened + delta, np.inf)
+            limit = np.partition(upper, hp.k - 1)[hp.k - 1]
+            band = np.flatnonzero(np.nextafter(screened - delta, -np.inf) <= limit)
+            out[r] = np.sort(band[np.argsort(rescore(band), kind="stable")[: hp.k]])
     changed = 0
     for assign, new in ((params.head_assign, new_head), (params.tail_assign, new_tail)):
         for r, chosen in new.items():
@@ -465,7 +531,8 @@ def train(
     are recorded every ``eval_every`` epochs; with ``early_stop_patience``
     > 0 training stops once hits@10 has not improved for that many epochs.
     ``on_epoch(state, epoch, loss)`` may return True to stop early.
-    ``workers`` is the validation thread count.
+    ``workers`` is the validation thread count.  Parameters that ranking
+    or block scoring cannot take raise :class:`TrainingError`.
     """
     from .evaluation import evaluate  # local import; evaluation depends on model only
 
@@ -493,7 +560,10 @@ def train(
             history["block_updates"].append({"epoch": epoch, "seed": bseed, "changed_sides": changed})
 
         if eval_every and eval_split is not None and len(eval_split) and epoch % eval_every == 0:
-            report = evaluate(eval_split, state.params, hp, store, workers=workers)
+            try:
+                report = evaluate(eval_split, state.params, hp, store, workers=workers)
+            except ValueError as exc:
+                raise TrainingError(f"validation at epoch {epoch}: {exc}") from None
             history["evals"].append(
                 {"epoch": epoch, "mean_rank": report.mean_rank, "hits_at_10": report.hits_at_10}
             )

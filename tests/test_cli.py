@@ -7,7 +7,7 @@ import pytest
 
 import _synth
 from conceptkb.checkpoint import load_checkpoint
-from conceptkb.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, read_config_file
+from conceptkb.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main, read_config_file
 from conceptkb.data import decode_triples, Vocab
 from conceptkb.model import Hyperparams
 
@@ -456,6 +456,32 @@ class TestBadInputFiles:
                                     "--out", str(tmp_path / "eval")], EXIT_DATA, capsys)
         assert "concept_tensor" in err
         assert not (tmp_path / "eval").exists()
+
+    def test_checkpoint_with_huge_concepts_is_data_error(self, data_dir, trained, tmp_path, capsys):
+        """Concepts of 1e30 are finite, so they load, but ranking cannot take them."""
+        with np.load(trained) as archive:
+            arrays = dict(archive)
+        arrays["concept_tensor"] = np.full_like(arrays["concept_tensor"], 1e30)
+        bad = tmp_path / "huge.npz"
+        np.savez(bad, **arrays)
+        err = assert_one_line_exit(["eval", "--checkpoint", str(bad), "--data-dir", str(data_dir),
+                                    "--out", str(tmp_path / "eval")], EXIT_DATA, capsys)
+        assert str(bad) in err and "too large to rank" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_huge_warm_start_fails_periodic_eval(self, data_dir, trained, tmp_path, capsys):
+        """Relation vectors of 1e30 train without a non-finite loss, but
+        validation cannot rank them."""
+        with np.load(trained) as archive:
+            arrays = dict(archive)
+        arrays["relation_emb"] = np.full_like(arrays["relation_emb"], 1e30)
+        bad = tmp_path / "huge.npz"
+        np.savez(bad, **arrays)
+        err = assert_one_line_exit(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "run"),
+                                    *TRAIN_ARGS, "--model", "transe", "--epochs", "1",
+                                    "--eval-every", "1", "--warm-start", str(bad)],
+                                   EXIT_RUNTIME, capsys)
+        assert "validation at epoch 1" in err and "too large to rank" in err
 
     @pytest.mark.parametrize("text", ["not json", '{"mean_rank": 1.0}', None],
                              ids=["not-json", "no-key", "directory"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import _synth
+from conceptkb.bounds import _matrix_norm
 from conceptkb.model import Hyperparams, attention_vector, compose, init_params
 from conceptkb.training import (
     TrainingError,
@@ -386,6 +387,32 @@ class TestSingleMatrixCost:
         assert len(pos_a) == 2
 
 
+def side_screen(store, r, side, params, hp, seed):
+    """``training._side_costs`` with the float32 concepts and concept norms
+    that ``block_update`` makes once per call."""
+    import conceptkb.training as training
+
+    norms = np.array([_matrix_norm(d, hp.ell) for d in params.concept_tensor])
+    return training._side_costs(store, r, side, params, hp, seed,
+                                training.DomainSampler(store, hp.domain_lambda),
+                                params.concept_tensor.astype(np.float32), norms)
+
+
+def one_relation_store(seed=3):
+    """Relation 0 of a structured KB on its own: 80 training triples."""
+    from conceptkb.data import build_store
+
+    store = _synth.structured_kb(seed, n_entities=60, n_relations=4, per_rel=100, dim=6)
+    return build_store(store.by_relation[0], n_entities=store.n_entities, n_relations=1)
+
+
+def scalar_bottom_k(store, params, hp, seed, side="head", r=0):
+    """The scalar oracle's support for one relation side, and its costs."""
+    costs = [single_matrix_cost(side, r, i, store, params, hp, hp.block_budget, seed)
+             for i in range(hp.m)]
+    return np.sort(np.argsort(costs, kind="stable")[: hp.k]), np.array(costs)
+
+
 class TestBlockUpdate:
     def test_bottom_k_selection(self, tiny_store, tiny_hp):
         state = make_state(tiny_store, tiny_hp, seed=6)
@@ -448,8 +475,9 @@ class TestBlockUpdate:
     @pytest.mark.parametrize("sampling", ["uniform", "bernoulli", "domain"])
     @pytest.mark.parametrize("ell", [1, 2])
     def test_chunked_costs_match_scalar_oracle(self, monkeypatch, tiny_store, ell, sampling, budget):
-        """Every concept's vectorized cost equals the scalar one to 1e-12,
-        with m = 5 split into concept chunks of 2, 2 and 1."""
+        """Every concept's float32 screen is within its bound of the float64
+        re-score, and the re-score equals the scalar cost to 1e-12, with m = 5
+        split into concept chunks of 2, 2 and 1."""
         import conceptkb.training as training
 
         hp = Hyperparams(n=5, m=5, k=2, gamma=1.0, tau=0.5, ell=ell, epochs=1,
@@ -459,13 +487,14 @@ class TestBlockUpdate:
         rng = np.random.default_rng(17)
         params.head_scores[:] = rng.normal(size=params.head_scores.shape)
         params.tail_scores[:] = rng.normal(size=params.tail_scores.shape)
-        sampler = training.DomainSampler(tiny_store, hp.domain_lambda)
         for r in tiny_store.by_relation:
             for side in ("head", "tail"):
                 pairs = len(training._block_pairs(tiny_store, r, side, hp, budget, 31)[0])
-                # room for two concepts' (pairs, n) blocks, not three
-                monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 8 * pairs * hp.n * 2 + 7)
-                got = training._side_costs(tiny_store, r, side, params, hp, 31, sampler)
+                # room for two concepts' float32 (pairs, n) blocks, not three
+                monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 4 * pairs * hp.n * 2 + 3)
+                screened, delta, rescore = side_screen(tiny_store, r, side, params, hp, 31)
+                got = rescore(np.arange(hp.m))
+                assert (np.abs(screened - got) <= delta).all()
                 want = [single_matrix_cost(side, r, i, tiny_store, params, hp, budget, 31)
                         for i in range(hp.m)]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -486,6 +515,106 @@ class TestBlockUpdate:
         state = make_state(tiny_store, hp, seed=8)
         assert block_update(state.params, tiny_store, hp, seed=21) > 0
         assert block_update(state.params, tiny_store, hp, seed=21) == 0
+
+
+class TestBlockScreen:
+    """The float32 screen of block scoring and the float64 decision."""
+
+    @pytest.mark.parametrize("sampling", ["uniform", "bernoulli", "domain"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_screen_within_bound(self, ell, sampling):
+        """Each screened cost is within its bound of the float64 re-score,
+        and the support is the stable bottom-k of the re-scored costs."""
+        store = _synth.structured_kb(4, n_entities=80, n_relations=4, per_rel=100, dim=6)
+        hp = Hyperparams(n=12, m=9, k=2, gamma=1.0, ell=ell, epochs=1, init_noise_sd=0.5,
+                         sampling_mode=sampling, domain_lambda=0.5, block_budget=None)
+        params = make_state(store, hp, seed=2).params
+        params.entity_emb *= 3.0  # the bound takes the real row norms
+        snapshot = params.copy()
+        block_update(params, store, hp, seed=5)
+        for r in store.by_relation:
+            for side, assign in (("head", params.head_assign), ("tail", params.tail_assign)):
+                screened, delta, rescore = side_screen(store, r, side, snapshot, hp, 5)
+                costs = rescore(np.arange(hp.m))
+                assert (np.abs(screened - costs) <= delta).all()
+                assert (delta < 1e-3 * costs.max()).all()
+                expected = np.sort(np.argsort(costs, kind="stable")[: hp.k])
+                np.testing.assert_array_equal(np.flatnonzero(assign[r]), expected)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_twin_concepts_tie_to_lower_index(self, monkeypatch, ell):
+        """Exact copies of the head side's cheapest concept at indices 1 and 4,
+        screened in a chunk of two and a chunk of one, tie bitwise in the
+        float64 re-score, and the lower index wins."""
+        import conceptkb.training as training
+
+        store = one_relation_store()
+        hp = Hyperparams(n=50, m=5, k=1, gamma=1.0, ell=ell, epochs=1, init_noise_sd=0.4,
+                         sampling_mode="uniform", block_budget=None)
+        params = make_state(store, hp, seed=6).params
+        # the head side's costs project tails through concept 2 alone, so
+        # moving the other concepts leaves those costs as they are
+        params.tail_assign[0] = np.eye(hp.m, dtype=params.tail_assign.dtype)[2]
+        _, costs = scalar_bottom_k(store, params, hp, seed=8)
+        best = int(np.argmin(costs))
+        D = params.concept_tensor
+        if best != 2:
+            D[[1, best]] = D[[best, 1]]
+        D[[1, 4]] = D[best if best == 2 else 1]
+        pairs = len(store.train)
+        monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 4 * pairs * hp.n * 2 + 3)
+        screened, delta, rescore = side_screen(store, 0, "head", params, hp, 8)
+        # a concept's re-score does not depend on which others share the call
+        twin = rescore([1])[0]
+        for ids in ([4], [4, 1], [1, 4], [0, 1, 2, 3, 4], [3, 4, 0, 1]):
+            got = rescore(ids)
+            assert all(c == twin for c, i in zip(got, ids) if i in (1, 4))
+        assert (rescore([0, 2, 3]) >= twin).all()
+        block_update(params, store, hp, seed=8)
+        assert np.flatnonzero(params.head_assign[0]).tolist() == [1]
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_near_ties_decided_as_scalar_oracle(self, ell):
+        """The cheapest concept and copies scaled by 1 ± 2⁻⁴⁴ differ far below
+        the screen's bound; the support is the scalar oracle's bottom-k."""
+        store = one_relation_store()
+        hp = Hyperparams(n=16, m=6, k=2, gamma=1.0, ell=ell, epochs=1, init_noise_sd=0.4,
+                         sampling_mode="bernoulli", block_budget=None)
+        params = make_state(store, hp, seed=7).params
+        _, costs = scalar_bottom_k(store, params, hp, seed=9)
+        best = int(np.argmin(costs))
+        source = params.concept_tensor[best].copy()
+        for i, scale in ((1, 1 + 2.0**-44), (3, 1.0), (4, 1 - 2.0**-44)):
+            params.concept_tensor[i] = source * scale
+        expected, costs = scalar_bottom_k(store, params, hp, seed=9)
+        near = costs[[1, 3, 4]]
+        assert len(set(near.tolist())) == 3  # distinct, so the order is at stake
+        assert set(expected.tolist()) < {1, 3, 4, best}  # the k-th cost is one of them
+        screened, delta, _ = side_screen(store, 0, "head", params, hp, 9)
+        assert np.ptp(near) < 1e-6 * delta[1]
+        block_update(params, store, hp, seed=9)
+        np.testing.assert_array_equal(np.flatnonzero(params.head_assign[0]), expected)
+        tail_expected, _ = scalar_bottom_k(store, params, hp, seed=9, side="tail")
+        np.testing.assert_array_equal(np.flatnonzero(params.tail_assign[0]), tail_expected)
+
+    @pytest.mark.parametrize("field, row, value", [
+        ("concept_tensor", 2, np.nan),
+        ("concept_tensor", 3, 1e30),
+        ("entity_emb", slice(None), np.nan),
+        ("entity_emb", 0, np.inf),
+        ("relation_emb", 0, np.inf),
+    ], ids=["nan-concept", "huge-concept", "nan-entities", "inf-entity", "inf-offset"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unscorable_parameters_raise(self, tiny_store, tiny_hp, field, row, value):
+        """NaN concepts used to be never chosen and all-NaN entity rows gave
+        supports [0, 1]; now the update raises and changes no support."""
+        state = make_state(tiny_store, tiny_hp, seed=6)
+        getattr(state.params, field)[row] = value
+        before = state.params.head_assign.copy(), state.params.tail_assign.copy()
+        with pytest.raises(TrainingError, match=r"relation 0 head: .* not finite or too large"):
+            block_update(state.params, tiny_store, tiny_hp, seed=13)
+        np.testing.assert_array_equal(state.params.head_assign, before[0])
+        np.testing.assert_array_equal(state.params.tail_assign, before[1])
 
 
 class TestTrain:
