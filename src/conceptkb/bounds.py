@@ -14,6 +14,7 @@ _U32 = 2.0**-24  # float32 unit roundoff
 # largest norm the float32 screens take: every value they form, squares
 # included, then stays far inside float32's range
 _NORM_LIMIT = 2.0**60
+_ROW_BLOCK = 4096  # rows per block of _max_row_norm
 
 
 def _matrix_norm(w: np.ndarray, ell: int) -> float:
@@ -23,6 +24,13 @@ def _matrix_norm(w: np.ndarray, ell: int) -> float:
     a = np.abs(w)
     col = a.sum(axis=0).max()
     return float(col if ell == 1 else np.sqrt(col * a.sum(axis=1).max()))
+
+
+def _max_row_norm(rows: np.ndarray, ell: int) -> float:
+    """Largest ell-norm of a row (NaN if any entry is), taken a block of
+    rows at a time so that no temporary the size of ``rows`` is made."""
+    return float(np.max([np.linalg.norm(rows[lo:lo + _ROW_BLOCK], ord=ell, axis=1).max()
+                         for lo in range(0, len(rows), _ROW_BLOCK)], initial=0.0))
 
 
 def _error_bound(n: int, w_norm, ent_norm, fixed_norm):

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm
+from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm, _max_row_norm
 from .data import DataError, FrequencyBins, TripleStore, Vocab
 from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
 
@@ -88,13 +88,6 @@ class EvalReport:
             n_queries=d["n_queries"],
             filtered=d.get("filtered", True),
         )
-
-
-def _max_row_norm(ent: np.ndarray, ell: int) -> float:
-    """Largest ell-norm of an entity row (NaN if any entry is), taken a
-    block of rows at a time so that no entity-sized temporary is made."""
-    return float(np.max([np.linalg.norm(ent[lo:lo + _ENERGY_BLOCK], ord=ell, axis=1).max()
-                         for lo in range(0, len(ent), _ENERGY_BLOCK)], initial=0.0))
 
 
 def _rescore(ent: np.ndarray, w: np.ndarray | None, fixed: np.ndarray, ids, ell: int) -> np.ndarray:

@@ -300,26 +300,34 @@ def attention(
     return e / e.sum(axis=1, keepdims=True)
 
 
-def compose(
+def supports(
     params: ModelParams, hp: Hyperparams, side: str, rels
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Compose the ``side`` projections of the relations in ``rels``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attention of the ``side`` of the relations in ``rels`` and its support.
 
-    Returns ``(act, weights, W)``.  ``act`` (U, c) holds each relation's
-    concepts of nonzero attention in ascending order; ``c`` is the widest
-    row's count, and shorter rows are padded with concepts of zero weight.
-    ``weights`` (U, c) is their attention and ``W`` the list of the U
-    ``(n, n)`` projections.  In sparse mode each costs c n^2 (c is at most
-    the support size); the dense modes contract all m concepts at once.
+    Returns ``(alpha, act, weights)``.  ``alpha`` (U, m) holds the attention
+    rows.  ``act`` (U, c) holds each relation's concepts of nonzero
+    attention in ascending order; ``c`` is the widest row's count, and
+    shorter rows are padded with concepts of zero weight.  ``weights``
+    (U, c) is their attention.
     """
     alpha = attention(params, hp, side, np.asarray(rels, dtype=np.int64))
     zero = alpha == 0
     c = int((~zero).sum(axis=1).max(initial=0))
     act = np.argsort(zero, axis=1, kind="stable")[:, :c]
-    weights = np.take_along_axis(alpha, act, axis=1)
+    return alpha, act, alpha[np.arange(len(act))[:, None], act]
+
+
+def projections(
+    params: ModelParams, hp: Hyperparams, alpha: np.ndarray, act: np.ndarray, weights: np.ndarray
+) -> list[np.ndarray]:
+    """The ``(n, n)`` projections of rows of :func:`supports`.  In sparse
+    mode each costs c n^2 (c is at most the support size) and its bits do
+    not depend on the other rows; the dense modes contract all m concepts
+    of every row at once."""
     D = params.concept_tensor
     if hp.attention_mode != "sparse":
-        return act, weights, list(np.tensordot(alpha, D, axes=(1, 0)))
+        return list(np.tensordot(alpha, D, axes=(1, 0)))
     # one small array per relation: faster than a stacked gather, and the
     # heap reuses it batch after batch
     W = []
@@ -328,7 +336,19 @@ def compose(
         for i, wi in zip(idx[1:], w[1:]):
             proj += D[i] * wi
         W.append(proj)
-    return act, weights, W
+    return W
+
+
+def compose(
+    params: ModelParams, hp: Hyperparams, side: str, rels
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Compose the ``side`` projections of the relations in ``rels``.
+
+    Returns ``(act, weights, W)``: the support of :func:`supports` and the
+    list of the U ``(n, n)`` projections of :func:`projections`.
+    """
+    alpha, act, weights = supports(params, hp, side, rels)
+    return act, weights, projections(params, hp, alpha, act, weights)
 
 
 def vec_norm(u: np.ndarray, ell: int) -> float:

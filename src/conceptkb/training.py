@@ -13,8 +13,16 @@ vectors are derived quantities rather than stored parameters.
 
 A batch is stable-sorted by relation once, so each relation's pairs form
 one contiguous slice that is projected and differentiated with a few
-matmuls.  Gradients come back in one format for every parameter array:
-the sorted unique ids of the touched rows and their gradient rows.
+matmuls.  One pass walks the sorted batch in windows of consecutive
+relations: a window's head and tail projections are composed, used for its
+forward projections, its entity-row gradients and its adjoints, and
+dropped before the next window's are composed, so at most
+:data:`SGD_WINDOW_BYTES` of composed matrices are alive at a time, next to
+the concept gradients of the whole batch.  The supports, the per-pair
+margins and penalty slacks and the loss sums cover the whole batch, so no
+bit depends on the window size.  Gradients come back in one format for
+every parameter array: the sorted unique ids of the touched rows and their
+gradient rows.
 
 Block reassignment screens a relation side's concepts in float32, in
 chunks under a fixed byte cap (:data:`BLOCK_CHUNK_BYTES`), each chunk with
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm
+from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm, _max_row_norm
 from .data import TripleStore
 from .model import (
     SIDE_HEAD,
@@ -41,7 +49,9 @@ from .model import (
     ModelParams,
     compose,
     init_params,
+    projections,
     single_matrix_energy,
+    supports,
 )
 from .sampling import DomainSampler, corrupt_batch
 
@@ -49,6 +59,9 @@ from .sampling import DomainSampler, corrupt_batch
 # byte cap of the float32 (B, c, n) buffer that the block screen projects a
 # chunk of c concepts into; 32 MiB holds 167 concepts of 500 pairs at n=100
 BLOCK_CHUNK_BYTES = 32 * 2**20
+# byte cap of the composed (n, n) projections, both sides, alive at a time in
+# one SGD window; 4 MiB holds 26 relations at n=100 and all 18 at n=50
+SGD_WINDOW_BYTES = 4 * 2**20
 
 
 class TrainingError(RuntimeError):
@@ -74,73 +87,145 @@ def _norm_grad(u: np.ndarray, norms: np.ndarray, ell: int) -> np.ndarray:
     return np.where(norms[..., None] > 0, u / safe[..., None], 0.0)
 
 
-def _slices(bounds: np.ndarray):
-    """``(j, start, end)`` of every relation slice of the sorted batch."""
-    return zip(range(len(bounds) - 1), bounds[:-1].tolist(), bounds[1:].tolist())
-
-
-def _forward(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray):
-    """Shared forward pass over a batch of (positive, corrupted) pairs.
+def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray,
+                backward: bool):
+    """The loss of a batch of (positive, corrupted) pairs and, with
+    ``backward``, its gradients; see :func:`batch_gradients`.
 
     The pairs are stable-sorted by relation once (``order``), so relation
     ``uniq[j]`` owns the slice ``bounds[j]:bounds[j + 1]`` of every per-pair
-    array, and ``slot`` holds each sorted pair's ``j``.  ``ids`` (2, 2, B)
-    and the gathered rows ``x`` (2, 2, B, n) hold the head side, then the
-    tail side, each as positives then corrupted partners; ``p`` holds the
-    projections of ``x`` in the same layout, ``u`` (2, B, n) the positive
-    and corrupted difference vectors.
+    array.  ``ids`` (2, 2, B) and the gathered rows ``x`` (2, 2, B', n) hold
+    the head side, then the tail side, each as positives then corrupted
+    partners; ``p`` holds the projections of ``x`` in the same layout and
+    ``u`` (2, B', n) the positive and corrupted difference vectors, for the
+    B' pairs of one window.
     """
     pos = np.asarray(pos, dtype=np.int64).reshape(-1, 3)
     neg = np.asarray(neg, dtype=np.int64).reshape(-1, 3)
     order = np.argsort(pos[:, 1], kind="stable")
     r = pos[order, 1]
     uniq, starts, slot = np.unique(r, return_index=True, return_inverse=True)
-    bounds = np.append(starts, len(order))
+    bounds = np.append(starts, len(order)).tolist()
     ids = np.stack([pos[order], neg[order]])[..., [0, 2]].transpose(2, 0, 1)
-    x = params.entity_emb[ids]
-    n = params.n
+    n, B, U = params.n, len(order), len(uniq)
+    shared = hp.model != "transe"
+    penalty = hp.proj_penalty > 0 and shared
+    margins = np.empty(B)
+    slack = np.empty((2, B)) if penalty else None
+    if backward:
+        rows = np.empty((2, 2, B, n))
+        rel_rows = np.empty((B, n))
 
-    comp = None
-    if hp.model == "transe":
-        p = x
-    else:
-        comp = (compose(params, hp, SIDE_HEAD, uniq), compose(params, hp, SIDE_TAIL, uniq))
-        p = np.empty_like(x)
-        for j, s, e in _slices(bounds):
-            for side, (_, _, W) in enumerate(comp):
-                p[side, :, s:e] = (x[side, :, s:e].reshape(-1, n) @ W[j].T).reshape(2, -1, n)
+    # one window holds as many consecutive relations as fit their composed
+    # head and tail projections in SGD_WINDOW_BYTES; transe composes none
+    per = max(1, SGD_WINDOW_BYTES // (2 * 8 * n * n)) if shared else max(U, 1)
+    if shared:
+        # supports and weights of the whole batch, so that the padding and
+        # the concept ids do not depend on the window
+        alphas, acts, wts = zip(*(supports(params, hp, side, uniq) for side in (SIDE_HEAD, SIDE_TAIL)))
+        sides = tuple(enumerate(zip(acts, wts)))
+    if backward and shared:
+        D = params.concept_tensor
+        sparse = hp.attention_mode == "sparse"
+        cids = np.unique(np.concatenate([act[w != 0] for act, w in zip(acts, wts)]))
+        concept = np.zeros((len(cids), n, n))
+        # one concept at a time, in place: a stacked fancy-index add is slower
+        planes, tmp = list(concept), np.empty((n, n))
+        slots = [np.searchsorted(cids, act).tolist() for act in acts]
+        weights = [w.tolist() for w in wts]
+        scores = np.zeros((2, U, params.m))
 
-    u = p[0] + params.relation_emb[r] - p[1]
-    energies = _norms(u, hp.ell)
-    margins = hp.gamma + energies[0] - energies[1]
-    active = margins > 0
+    for j0 in range(0, U, per):
+        W = p = blocks = None  # the last window's arrays go before the next window's are made
+        j1 = min(j0 + per, U)
+        s0, e0 = bounds[j0], bounds[j1]
+        # each relation of the window with its slice of the window's pairs
+        spans = [(j, bounds[j] - s0, bounds[j + 1] - s0) for j in range(j0, j1)]
+        x = params.entity_emb[ids[:, :, s0:e0]]
+        if shared:
+            W = [projections(params, hp, alphas[side][j0:j1], acts[side][j0:j1], wts[side][j0:j1])
+                 for side in range(2)]
+            # each slice's gathered rows of one side as one (2L, n) block, for
+            # its forward projection and again for its adjoint
+            blocks = [[x[side, :, s:e].reshape(-1, n) for _, s, e in spans] for side in range(2)]
+            p = np.empty_like(x)
+            for side in range(2):
+                for (_, s, e), xb, proj in zip(spans, blocks[side], W[side]):
+                    p[side, :, s:e] = (xb @ proj.T).reshape(2, -1, n)
+        else:
+            p = x
+
+        u = p[0] + params.relation_emb[r[s0:e0]] - p[1]
+        energies = _norms(u, hp.ell)
+        margin = margins[s0:e0]
+        np.subtract(hp.gamma + energies[0], energies[1], out=margin)
+        # hinged penalty keeping projected positive entities near unit norm
+        if penalty:
+            np.subtract((p[:, 0] * p[:, 0]).sum(axis=-1), 1.0, out=slack[:, s0:e0])
+        if not backward:
+            continue
+
+        g = _norm_grad(u, energies, hp.ell) * (margin > 0)[:, None]
+        np.subtract(g[0], g[1], out=rel_rows[s0:e0])
+        # coefficients of the gathered entity rows: +g_pos, -g_neg on the head
+        # side and -g_pos, +g_neg on the tail side, plus the penalty on positives
+        coef = np.stack([g, -g]) * np.array([1.0, -1.0])[:, None, None]
+        if penalty:
+            coef[:, 0] += 2.0 * hp.proj_penalty * p[:, 0] * (slack[:, s0:e0] > 0)[..., None]
+        if not shared:
+            rows[:, :, s0:e0] = coef
+            continue
+        rows_w = rows[:, :, s0:e0]
+        for i, (j, s, e) in enumerate(spans):
+            for side, (act, alpha) in sides:
+                c = coef[side, :, s:e].reshape(-1, n)
+                rows_w[side, :, s:e] = (c @ W[side][i]).reshape(2, -1, n)
+                S = c.T @ blocks[side][i]
+                for k, w in zip(slots[side][j], weights[side][j]):
+                    if w:
+                        planes[k] += np.multiply(S, w, out=tmp)
+                if hp.attention_mode == "dense_l1":
+                    sign = np.sign((params.head_scores, params.tail_scores)[side][uniq[j]])
+                    scores[side, j] = np.einsum("ijk,jk->i", D, S) + hp.l1_coef * (e - s) * sign
+                else:
+                    # softmax backward; only sparse mode gathers its concepts
+                    aj, al = act[j], alpha[j]
+                    a = np.einsum("ijk,jk->i", D[aj], S) if sparse else np.einsum("ijk,jk->i", D, S)[aj]
+                    scores[side, j, aj] = al / hp.tau * (a - al @ a)
+
     # maximum() propagates NaN energies into the loss so the caller's
     # finite check can abort with diagnostics
     loss = float(np.maximum(margins, 0.0).sum())
-
-    # hinged penalty keeping projected positive entities near unit norm
-    q = None
-    if hp.proj_penalty > 0 and comp is not None:
-        slack = (p[:, 0] * p[:, 0]).sum(axis=-1) - 1.0
+    if penalty:
         loss += hp.proj_penalty * (
             float(np.clip(slack[0], 0, None).sum()) + float(np.clip(slack[1], 0, None).sum())
         )
-        q = 2.0 * hp.proj_penalty * p[:, 0] * (slack > 0)[..., None]
-
-    if hp.attention_mode == "dense_l1" and comp is not None:
+    if hp.attention_mode == "dense_l1" and shared:
         mass = (np.abs(params.head_scores[uniq]).sum(axis=1)
                 + np.abs(params.tail_scores[uniq]).sum(axis=1))
         loss += float((hp.l1_coef * mass * np.diff(bounds)).sum())
+    if not backward:
+        return loss, None
 
-    return {
-        "order": order, "uniq": uniq, "bounds": bounds, "slot": slot, "comp": comp, "loss": loss,
-        "ids": ids, "x": x, "p": p, "u": u, "energies": energies, "active": active, "q": q,
-    }
+    # entity rows summed in the unsorted batch order: heads, tails,
+    # corrupted heads, corrupted tails
+    inv = np.argsort(order)
+    uids, uinv = np.unique(ids[:, :, inv].transpose(1, 0, 2), return_inverse=True)
+    ent = np.zeros((len(uids), n))
+    np.add.at(ent, uinv.ravel(), rows[:, :, inv].transpose(1, 0, 2, 3).reshape(-1, n))
+    # relation rows in sorted order, which is the batch order within a relation
+    rel = np.zeros((U, n))
+    np.add.at(rel, slot, rel_rows)
+    grads = {"entity_emb": (uids, ent), "relation_emb": (uniq, rel)}
+    if shared:
+        grads.update(concept_tensor=(cids, concept),
+                     head_scores=(uniq, scores[0]), tail_scores=(uniq, scores[1]))
+    return loss, grads
 
 
 def batch_loss(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray) -> float:
     """Total batch objective (hinge terms plus any penalties)."""
-    return _forward(params, hp, pos, neg)["loss"]
+    return _batch_pass(params, hp, pos, neg, backward=False)[0]
 
 
 def batch_gradients(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray):
@@ -154,60 +239,7 @@ def batch_gradients(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: 
     ``S`` that feeds its concepts and scores.  Every sum runs in the order
     of the unsorted batch, so the result does not depend on the sort.
     """
-    fw = _forward(params, hp, pos, neg)
-    n = params.n
-    uniq, bounds, comp = fw["uniq"], fw["bounds"], fw["comp"]
-    g = _norm_grad(fw["u"], fw["energies"], hp.ell) * fw["active"][:, None]
-    # coefficients of the gathered entity rows: +g_pos, -g_neg on the head
-    # side and -g_pos, +g_neg on the tail side, plus the penalty on positives
-    coef = np.stack([g, -g]) * np.array([1.0, -1.0])[:, None, None]
-    if fw["q"] is not None:
-        coef[:, 0] += fw["q"]
-
-    if comp is None:
-        rows = coef
-    else:
-        rows = np.empty_like(coef)
-        D = params.concept_tensor
-        sparse = hp.attention_mode == "sparse"
-        cids = np.unique(np.concatenate([act[alpha != 0] for act, alpha, _ in comp]))
-        concept = np.zeros((len(cids), n, n))
-        # one concept at a time, in place: a stacked fancy-index add is slower
-        planes, tmp = list(concept), np.empty((n, n))
-        slots = [np.searchsorted(cids, act).tolist() for act, _, _ in comp]
-        weights = [alpha.tolist() for _, alpha, _ in comp]
-        scores = np.zeros((2, len(uniq), params.m))
-        for j, s, e in _slices(bounds):
-            for side, (act, alpha, W) in enumerate(comp):
-                c = coef[side, :, s:e].reshape(-1, n)
-                rows[side, :, s:e] = (c @ W[j]).reshape(2, -1, n)
-                S = c.T @ fw["x"][side, :, s:e].reshape(-1, n)
-                for k, w in zip(slots[side][j], weights[side][j]):
-                    if w:
-                        planes[k] += np.multiply(S, w, out=tmp)
-                if hp.attention_mode == "dense_l1":
-                    sign = np.sign((params.head_scores, params.tail_scores)[side][uniq[j]])
-                    scores[side, j] = np.einsum("ijk,jk->i", D, S) + hp.l1_coef * (e - s) * sign
-                else:
-                    # softmax backward; only sparse mode gathers its concepts
-                    a = (np.einsum("ijk,jk->i", D[act[j]], S) if sparse
-                         else np.einsum("ijk,jk->i", D, S)[act[j]])
-                    scores[side, j, act[j]] = alpha[j] / hp.tau * (a - alpha[j] @ a)
-
-    # entity rows summed in the unsorted batch order: heads, tails,
-    # corrupted heads, corrupted tails
-    inv = np.argsort(fw["order"])
-    uids, uinv = np.unique(fw["ids"][:, :, inv].transpose(1, 0, 2), return_inverse=True)
-    ent = np.zeros((len(uids), n))
-    np.add.at(ent, uinv.ravel(), rows[:, :, inv].transpose(1, 0, 2, 3).reshape(-1, n))
-    # relation rows in sorted order, which is the batch order within a relation
-    rel = np.zeros((len(uniq), n))
-    np.add.at(rel, fw["slot"], g[0] - g[1])
-    grads = {"entity_emb": (uids, ent), "relation_emb": (uniq, rel)}
-    if comp is not None:
-        grads.update(concept_tensor=(cids, concept),
-                     head_scores=(uniq, scores[0]), tail_scores=(uniq, scores[1]))
-    return fw["loss"], grads
+    return _batch_pass(params, hp, pos, neg, backward=True)
 
 
 def apply_gradients(params: ModelParams, hp: Hyperparams, grads: dict) -> None:
@@ -286,13 +318,12 @@ def sgd_epoch(state: TrainState, store: TripleStore, hp: Hyperparams) -> float:
     """One pass over the shuffled training set; returns the mean pair loss.
 
     Assignment vectors stay fixed for the whole epoch; each positive gets
-    one corrupted partner drawn under the configured sampling mode.
+    one corrupted partner drawn under the configured sampling mode.  Raises
+    :class:`TrainingError` on a non-finite batch loss, and after the epoch
+    on parameters that ranking and block scoring cannot take.
     """
     n_train = len(store.train)
-    if n_train == 0:
-        state.epoch += 1
-        return 0.0
-    order = state.rng.permutation(n_train)
+    order = state.rng.permutation(n_train) if n_train else None
     total = 0.0
     for start in range(0, n_train, hp.batch_size):
         batch_idx = order[start:start + hp.batch_size]
@@ -307,7 +338,26 @@ def sgd_epoch(state: TrainState, store: TripleStore, hp: Hyperparams) -> float:
         apply_gradients(state.params, hp, grads)
         total += loss
     state.epoch += 1
-    return total / n_train
+    _check_scorable(state.params, hp, state.epoch)
+    return total / max(n_train, 1)
+
+
+def _check_scorable(params: ModelParams, hp: Hyperparams, epoch: int) -> None:
+    """Raise :class:`TrainingError`, naming the array, when an entity or
+    relation row's ell norm, or in a shared-concept model a concept's
+    :func:`_matrix_norm`, is not finite or above the :data:`_NORM_LIMIT`
+    that ranking and block scoring take."""
+    arrays = [("entity_emb", params.entity_emb), ("relation_emb", params.relation_emb)]
+    if hp.model != "transe":
+        arrays.append(("concept_tensor", params.concept_tensor))
+    for name, arr in arrays:
+        norm = (_max_row_norm(arr, hp.ell) if arr.ndim == 2
+                else float(np.max([_matrix_norm(d, hp.ell) for d in arr])))
+        if not norm <= _NORM_LIMIT:
+            raise TrainingError(
+                f"after epoch {epoch}, {name} has a row of norm {norm!r}: not finite or above "
+                f"the 2**60 that ranking and block scoring take (lr={hp.lr})"
+            )
 
 
 def _block_pairs(

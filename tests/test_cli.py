@@ -469,19 +469,36 @@ class TestBadInputFiles:
         assert str(bad) in err and "too large to rank" in err
         assert not (tmp_path / "eval").exists()
 
-    def test_huge_warm_start_fails_periodic_eval(self, data_dir, trained, tmp_path, capsys):
-        """Relation vectors of 1e30 train without a non-finite loss, but
-        validation cannot rank them."""
+    def huge_warm_start(self, trained, tmp_path):
+        """The trained checkpoint with every relation vector entry at 1e30."""
         with np.load(trained) as archive:
             arrays = dict(archive)
         arrays["relation_emb"] = np.full_like(arrays["relation_emb"], 1e30)
         bad = tmp_path / "huge.npz"
         np.savez(bad, **arrays)
+        return bad
+
+    def test_huge_warm_start_fails_periodic_eval(self, data_dir, trained, tmp_path, capsys):
+        """Relation vectors of 1e30 train without a non-finite loss, but
+        the epoch's end refuses them before validation would."""
+        bad = self.huge_warm_start(trained, tmp_path)
         err = assert_one_line_exit(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "run"),
                                     *TRAIN_ARGS, "--model", "transe", "--epochs", "1",
                                     "--eval-every", "1", "--warm-start", str(bad)],
                                    EXIT_RUNTIME, capsys)
-        assert "validation at epoch 1" in err and "too large to rank" in err
+        assert "after epoch 1, relation_emb" in err and "not finite or above" in err
+
+    def test_huge_warm_start_fails_without_eval(self, data_dir, trained, tmp_path, capsys):
+        """With validation off, the same run still ends in exit 4 and
+        writes no checkpoint that ``eval`` would refuse."""
+        bad = self.huge_warm_start(trained, tmp_path)
+        out = tmp_path / "run"
+        err = assert_one_line_exit(["train", "--data-dir", str(data_dir), "--out", str(out),
+                                    *TRAIN_ARGS, "--model", "transe", "--epochs", "1",
+                                    "--eval-every", "0", "--warm-start", str(bad)],
+                                   EXIT_RUNTIME, capsys)
+        assert "after epoch 1, relation_emb" in err
+        assert not (out / "checkpoint.npz").exists()
 
     @pytest.mark.parametrize("text", ["not json", '{"mean_rank": 1.0}', None],
                              ids=["not-json", "no-key", "directory"])

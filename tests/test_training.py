@@ -81,17 +81,21 @@ def make_fd_instance(seed, hp, n_entities=9, n_relations=3, batch=5):
 
 def kink_distance(params, hp, pos, neg):
     """Smallest distance to a nondifferentiable point across the batch."""
-    from conceptkb.training import _forward
-
-    fw = _forward(params, hp, pos, neg)
-    energies = fw["energies"]
+    shared = hp.model != "transe"
+    # p[side][k]: the projected (B, n) rows of one side, positives (k = 0)
+    # and corrupted partners (k = 1)
+    p = [[np.stack([compose(params, hp, side, [r])[2][0] @ params.entity_emb[e] if shared
+                    else params.entity_emb[e] for e, r in zip(pairs[:, col], pairs[:, 1])])
+          for pairs in (pos, neg)] for side, col in (("head", 0), ("tail", 2))]
+    u = [p[0][k] + params.relation_emb[pos[:, 1]] - p[1][k] for k in range(2)]
+    energies = [np.abs(v).sum(axis=1) if hp.ell == 1 else np.sqrt((v * v).sum(axis=1)) for v in u]
     dist = np.abs(hp.gamma + energies[0] - energies[1]).min()
     if hp.ell == 1:
-        dist = min(dist, np.abs(fw["u"]).min())
-    if hp.proj_penalty > 0 and hp.model != "transe":
-        positives = fw["p"][:, 0]
-        slack = (positives * positives).sum(axis=-1) - 1.0
-        dist = min(dist, np.abs(slack).min())
+        dist = min(dist, np.abs(np.stack(u)).min())
+    if hp.proj_penalty > 0 and shared:
+        for side in range(2):
+            slack = (p[side][0] * p[side][0]).sum(axis=1) - 1.0
+            dist = min(dist, np.abs(slack).min())
     return float(dist)
 
 
@@ -281,6 +285,80 @@ class TestGradientReference:
         assert rows[np.searchsorted(ids, r), 1] != 0.0
 
 
+def window_caps(n):
+    """SGD window caps: one relation per window, and two."""
+    return [1, 2 * 2 * 8 * n * n]
+
+
+def grads_bytes(params, hp, pos, neg):
+    """The loss and every grads array of :func:`batch_gradients` as bytes,
+    after checking that :func:`batch_loss` gives the same loss bit for bit."""
+    loss, grads = batch_gradients(params, hp, pos, neg)
+    assert np.float64(batch_loss(params, hp, pos, neg)).tobytes() == np.float64(loss).tobytes()
+    return [np.float64(loss).tobytes()] + [
+        a.tobytes() for name in sorted(grads) for a in grads[name]]
+
+
+def window_instances():
+    """``(hp, params, pos, neg)`` over 3 relations of 12 pairs: sparse mode at
+    ell 1 and 2 with penalty 0 and 1, the underflowing-softmax instance in
+    sparse and dense mode, and stranse and transe."""
+    for ell in (1, 2):
+        for penalty in (0.0, 1.0):
+            hp = reference_hp("sparse", "itransf", ell=ell, proj_penalty=penalty)
+            yield (hp, *make_fd_instance(1, hp, batch=12))
+        for mode in ("sparse", "dense"):
+            hp = reference_hp(mode, "itransf", ell=ell, tau=0.01)
+            params, pos, neg = make_fd_instance(4, hp, batch=12)
+            params.head_scores *= 80
+            params.tail_scores *= 80
+            yield hp, params, pos, neg
+    for model in ("stranse", "transe"):
+        hp = reference_hp("sparse", model, ell=2)
+        yield (hp, *make_fd_instance(2, hp, batch=12))
+
+
+class TestWindows:
+    """One batch pass streams windows of consecutive relations; the window
+    cap changes no bit of the loss or the gradients."""
+
+    def test_window_cap_changes_no_bit(self, monkeypatch):
+        import conceptkb.training as training
+
+        for hp, params, pos, neg in window_instances():
+            want = grads_bytes(params, hp, pos, neg)
+            for cap in window_caps(hp.n):
+                monkeypatch.setattr(training, "SGD_WINDOW_BYTES", cap)
+                assert grads_bytes(params, hp, pos, neg) == want, (hp, cap)
+                monkeypatch.undo()
+
+    def test_peak_memory_holds_one_window(self):
+        """One batch over 400 relations at n = 64 composes 800 projections of
+        32 KiB, 25 MiB in all; the pass keeps one window of them alive, next
+        to the concept gradients and a slack of six (2, 2, B, n) arrays for
+        the entity rows, their batch-order copy, the summed rows and a
+        window's temporaries."""
+        import tracemalloc
+
+        import conceptkb.training as training
+
+        n, R, E, B = 64, 400, 1000, 400
+        hp = Hyperparams(n=n, m=8, k=2, gamma=1.0, ell=1, epochs=1, init_noise_sd=0.1)
+        params = init_params(E, R, hp, seed=0)
+        rng = np.random.default_rng(1)
+        pos = np.stack([rng.integers(E, size=B), np.arange(B) % R, rng.integers(E, size=B)], axis=1)
+        neg = pos.copy()
+        neg[:, 2] = (neg[:, 2] + 1) % E
+        tracemalloc.start()
+        try:
+            _, grads = batch_gradients(params, hp, pos, neg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 6 * (2 * 2 * B * n * 8)
+        assert peak < grads["concept_tensor"][1].nbytes + training.SGD_WINDOW_BYTES + slack
+
+
 class TestSgdEpoch:
     def test_zero_lr_keeps_parameters(self, tiny_store, tiny_hp):
         hp = tiny_hp.with_updates(lr=0.0)
@@ -334,6 +412,32 @@ class TestSgdEpoch:
         with pytest.raises(TrainingError, match="entity row 5"):
             apply_gradients(state.params, tiny_hp, grads)
         np.testing.assert_array_equal(state.params.entity_emb, before.entity_emb)
+
+    @pytest.mark.parametrize("field", ["entity_emb", "relation_emb", "concept_tensor"])
+    def test_unscorable_parameters_raise_after_epoch(self, tiny_store, tiny_hp, field):
+        """Rows of 1e30 give finite losses, but ranking and block scoring
+        cannot take them, so the epoch raises and names the array."""
+        hp = tiny_hp.with_updates(lr=0.0)  # no step renormalizes the entity row
+        state = make_state(tiny_store, hp, seed=3)
+        getattr(state.params, field)[1] = 1e30
+        with pytest.raises(TrainingError, match=f"after epoch 1, {field} has a row of norm"):
+            sgd_epoch(state, tiny_store, hp)
+
+    def test_epoch_without_training_triples_checks_parameters(self, tiny_hp):
+        from conceptkb.data import build_store
+
+        store = build_store(np.zeros((0, 3), dtype=np.int64), n_entities=4, n_relations=2)
+        state = make_state(store, tiny_hp, seed=3)
+        assert sgd_epoch(state, store, tiny_hp) == 0.0
+        state.params.relation_emb[1] = 1e30
+        with pytest.raises(TrainingError, match="after epoch 2, relation_emb"):
+            sgd_epoch(state, store, tiny_hp)
+
+    def test_transe_does_not_check_unused_concepts(self, tiny_store, tiny_hp):
+        hp = tiny_hp.with_updates(model="transe", m=1, k=1)
+        state = make_state(tiny_store, hp, seed=3)
+        state.params.concept_tensor[:] = np.nan
+        assert np.isfinite(sgd_epoch(state, tiny_store, hp))
 
     def test_dense_l1_weights_stay_nonnegative(self, tiny_store):
         hp = Hyperparams(n=5, m=3, k=1, gamma=1.0, ell=2, lr=0.2, batch_size=4,
