@@ -312,9 +312,14 @@ def supports(
     (U, c) is their attention.
     """
     alpha = attention(params, hp, side, np.asarray(rels, dtype=np.int64))
-    zero = alpha == 0
-    c = int((~zero).sum(axis=1).max(initial=0))
-    act = np.argsort(zero, axis=1, kind="stable")[:, :c]
+    live = alpha != 0
+    counts = live.sum(axis=1)
+    c = int(counts.max(initial=0))
+    if (counts == c).all():
+        # no row is padded: its concepts are its nonzero columns, in order
+        act = np.nonzero(live)[1].reshape(len(alpha), c)
+    else:
+        act = np.argsort(~live, axis=1, kind="stable")[:, :c]
     return alpha, act, alpha[np.arange(len(act))[:, None], act]
 
 

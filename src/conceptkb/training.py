@@ -20,9 +20,14 @@ dropped before the next window's are composed, so at most
 :data:`SGD_WINDOW_BYTES` of composed matrices are alive at a time, next to
 the concept gradients of the whole batch.  The supports, the per-pair
 margins and penalty slacks and the loss sums cover the whole batch, so no
-bit depends on the window size.  Gradients come back in one format for
-every parameter array: the sorted unique ids of the touched rows and their
-gradient rows.
+bit depends on the window size.  Each relation side's score gradient
+reads its support concepts in sparse mode through a strided view of the
+concept tensor when the support holds one or two, and the softmax backward
+runs once per window and side over the window's (J, c) block.  Gradients
+come back in one format for every parameter array: the sorted unique ids
+of the touched rows and their gradient rows.  One batch's gradients are
+alive at a time: :func:`sgd_epoch` drops them before the next batch's are
+built.
 
 Block reassignment screens a relation side's concepts in float32, in
 chunks under a fixed byte cap (:data:`BLOCK_CHUNK_BYTES`), each chunk with
@@ -87,6 +92,28 @@ def _norm_grad(u: np.ndarray, norms: np.ndarray, ell: int) -> np.ndarray:
     return np.where(norms[..., None] > 0, u / safe[..., None], 0.0)
 
 
+def _support_planes(D: np.ndarray, ids: list[int]) -> np.ndarray:
+    """``D[ids]``: for one or two concepts a strided view, which saves the
+    gather's copy and gives the einsums that read it the same bytes; wider
+    supports are gathered."""
+    if len(ids) == 1:
+        return D[ids[0]:ids[0] + 1]
+    if len(ids) == 2:
+        return D[ids[0]::ids[1] - ids[0]][:2]
+    return D[ids]
+
+
+def _softmax_backward(weights: np.ndarray, a: np.ndarray, tau: float) -> np.ndarray:
+    """The score-gradient rows ``α/τ·(a − α·a)`` of a block of relations.
+
+    Row j of ``weights`` and ``a`` (J, c) holds relation j's support weights
+    α and ``a_i = ⟨D_i, S⟩`` of its support concepts.  ``np.vecdot`` gives
+    each row's ``α·a`` the bytes of ``α @ a``, so every row is the one a
+    relation-at-a-time backward gives.
+    """
+    return weights / tau * (a - np.vecdot(weights, a)[:, None])
+
+
 def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray,
                 backward: bool):
     """The loss of a batch of (positive, corrupted) pairs and, with
@@ -99,6 +126,14 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
     partners; ``p`` holds the projections of ``x`` in the same layout and
     ``u`` (2, B', n) the positive and corrupted difference vectors, for the
     B' pairs of one window.
+
+    The backward pass gives each relation side of a window its adjoint ``S``
+    and ``a_i = ⟨D_i, S⟩`` for the concepts of its support; sparse mode
+    reads those concepts through :func:`_support_planes`, a view for
+    supports of one or two.  The window's ``a`` rows form one (J, c) block
+    per side, since in dense mode an underflowing softmax can give the head
+    and the tail unequal widths c, and :func:`_softmax_backward` turns each
+    block into score-gradient rows at once.
     """
     pos = np.asarray(pos, dtype=np.int64).reshape(-1, 3)
     neg = np.asarray(neg, dtype=np.int64).reshape(-1, 3)
@@ -123,16 +158,17 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
         # supports and weights of the whole batch, so that the padding and
         # the concept ids do not depend on the window
         alphas, acts, wts = zip(*(supports(params, hp, side, uniq) for side in (SIDE_HEAD, SIDE_TAIL)))
-        sides = tuple(enumerate(zip(acts, wts)))
     if backward and shared:
         D = params.concept_tensor
         sparse = hp.attention_mode == "sparse"
+        softmax = hp.attention_mode != "dense_l1"
         cids = np.unique(np.concatenate([act[w != 0] for act, w in zip(acts, wts)]))
         concept = np.zeros((len(cids), n, n))
         # one concept at a time, in place: a stacked fancy-index add is slower
         planes, tmp = list(concept), np.empty((n, n))
         slots = [np.searchsorted(cids, act).tolist() for act in acts]
         weights = [w.tolist() for w in wts]
+        act_ids = [act.tolist() for act in acts]
         scores = np.zeros((2, U, params.m))
 
     for j0 in range(0, U, per):
@@ -176,22 +212,27 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
             rows[:, :, s0:e0] = coef
             continue
         rows_w = rows[:, :, s0:e0]
+        if softmax:
+            grad_in = [np.empty((j1 - j0, act.shape[1])) for act in acts]
         for i, (j, s, e) in enumerate(spans):
-            for side, (act, alpha) in sides:
+            for side in range(2):
                 c = coef[side, :, s:e].reshape(-1, n)
                 rows_w[side, :, s:e] = (c @ W[side][i]).reshape(2, -1, n)
                 S = c.T @ blocks[side][i]
                 for k, w in zip(slots[side][j], weights[side][j]):
                     if w:
                         planes[k] += np.multiply(S, w, out=tmp)
-                if hp.attention_mode == "dense_l1":
+                if not softmax:
                     sign = np.sign((params.head_scores, params.tail_scores)[side][uniq[j]])
                     scores[side, j] = np.einsum("ijk,jk->i", D, S) + hp.l1_coef * (e - s) * sign
+                elif sparse:
+                    grad_in[side][i] = np.einsum("ijk,jk->i", _support_planes(D, act_ids[side][j]), S)
                 else:
-                    # softmax backward; only sparse mode gathers its concepts
-                    aj, al = act[j], alpha[j]
-                    a = np.einsum("ijk,jk->i", D[aj], S) if sparse else np.einsum("ijk,jk->i", D, S)[aj]
-                    scores[side, j, aj] = al / hp.tau * (a - al @ a)
+                    grad_in[side][i] = np.einsum("ijk,jk->i", D, S)[acts[side][j]]
+        if softmax:
+            for side, a in enumerate(grad_in):
+                scores[side, np.arange(j0, j1)[:, None], acts[side][j0:j1]] = _softmax_backward(
+                    wts[side][j0:j1], a, hp.tau)
 
     # maximum() propagates NaN energies into the loss so the caller's
     # finite check can abort with diagnostics
@@ -274,11 +315,16 @@ def apply_gradients(params: ModelParams, hp: Hyperparams, grads: dict) -> None:
         if name == "entity_emb":
             continue
         arr = getattr(params, name)
-        # row by row, in place: a fancy-index update copies every row twice
-        for i, row in zip(ids.tolist(), rows):
-            arr[i] -= lr * row
+        if arr.ndim == 3:
+            # concept planes one at a time, in place: a fancy-index update
+            # copies every (n, n) plane twice
+            for i, plane in zip(ids.tolist(), rows):
+                arr[i] -= lr * plane
+            continue
+        stepped = arr[ids] - lr * rows
         if hp.attention_mode == "dense_l1" and name.endswith("_scores"):
-            arr[ids] = np.maximum(arr[ids], 0.0)
+            np.maximum(stepped, 0.0, out=stepped)
+        arr[ids] = stepped
 
 
 @dataclass
@@ -336,6 +382,8 @@ def sgd_epoch(state: TrainState, store: TripleStore, hp: Hyperparams) -> float:
                 f"batch starting at {start} (lr={hp.lr}, gamma={hp.gamma})"
             )
         apply_gradients(state.params, hp, grads)
+        # released before the next batch's gradients are built
+        del grads
         total += loss
     state.epoch += 1
     _check_scorable(state.params, hp, state.epoch)

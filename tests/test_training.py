@@ -359,7 +359,128 @@ class TestWindows:
         assert peak < grads["concept_tensor"][1].nbytes + training.SGD_WINDOW_BYTES + slack
 
 
+class TestBackwardKernels:
+    """The backward pass's batched kernels give the bytes of the
+    relation-at-a-time and row-at-a-time forms they replace."""
+
+    @pytest.mark.parametrize("n", [8, 50])
+    def test_support_view_einsum_matches_gather(self, n):
+        import conceptkb.training as training
+
+        rng = np.random.default_rng(n)
+        D = rng.normal(size=(12, n, n))
+        for width in (1, 2, 3):
+            for _ in range(40):
+                ids = rng.choice(len(D), width, replace=False).tolist()
+                S = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-6, 7)
+                planes = training._support_planes(D, ids)
+                # one or two concepts are read in place, wider supports gathered
+                assert np.shares_memory(planes, D) == (width < 3)
+                want = np.einsum("ijk,jk->i", D[ids], S)
+                assert np.einsum("ijk,jk->i", planes, S).tobytes() == want.tobytes(), ids
+
+    def test_window_softmax_backward_matches_per_relation(self):
+        import conceptkb.training as training
+
+        rng = np.random.default_rng(3)
+        for c in (1, 2, 3, 5):
+            weights = rng.dirichlet(np.ones(c), size=7)
+            weights[0, -1] = 0.0  # a padded concept of zero weight
+            a = rng.normal(size=(7, c)) * 10.0 ** rng.integers(-6, 7, size=(7, 1))
+            got = training._softmax_backward(weights, a, 0.25)
+            for row, al, aj in zip(got, weights, a):
+                assert row.tobytes() == (al / 0.25 * (aj - al @ aj)).tobytes()
+
+    def test_pass_blocks_sides_of_unequal_width(self, monkeypatch):
+        """In dense mode an underflowing softmax gives the head and the tail
+        supports different widths; each side's window block keeps its own,
+        and every row is the per-relation formula's."""
+        import conceptkb.training as training
+
+        hp = reference_hp("dense", "itransf", ell=1, tau=0.01)
+        params, pos, neg = make_fd_instance(4, hp, batch=12)
+        params.head_scores *= 80
+        params.tail_scores *= 80
+        blocks = []
+        real = training._softmax_backward
+
+        def spy(weights, a, tau):
+            out = real(weights, a, tau)
+            blocks.append((weights, a, out))
+            return out
+
+        monkeypatch.setattr(training, "_softmax_backward", spy)
+        batch_gradients(params, hp, pos, neg)
+        assert len({a.shape[1] for _, a, _ in blocks}) == 2
+        for weights, a, out in blocks:
+            for row, al, aj in zip(out, weights, a):
+                assert row.tobytes() == (al / hp.tau * (aj - al @ aj)).tobytes()
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense_l1"])
+    def test_apply_matches_row_by_row_step(self, mode):
+        hp = reference_hp(mode, "itransf", ell=1, lr=0.5)
+        params, pos, neg = make_fd_instance(5, hp, batch=12)
+        grads = batch_gradients(params, hp, pos, neg)[1]
+        for name in ("relation_emb", "head_scores", "tail_scores", "concept_tensor"):
+            grads[name][1][0] = 0.0  # a row whose step is zero
+        if mode == "dense_l1":
+            # a stepped score row that the clip sets to zero
+            clipped, rows = grads["head_scores"][0][-1], grads["head_scores"][1][-1]
+            params.head_scores[clipped] = 0.5 * hp.lr * rows
+        want = params.copy()
+        for name, (ids, rows) in grads.items():
+            if name == "entity_emb":
+                continue
+            arr = getattr(want, name)
+            for i, row in zip(ids.tolist(), rows):
+                arr[i] -= hp.lr * row
+            if mode == "dense_l1" and name.endswith("_scores"):
+                arr[ids] = np.maximum(arr[ids], 0.0)
+        if mode == "dense_l1":
+            assert (want.head_scores[clipped] == 0.0).any()
+        apply_gradients(params, hp, grads)
+        for name in PARAM_ARRAYS[1:]:
+            assert getattr(params, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 class TestSgdEpoch:
+    def test_peak_memory_holds_one_batch(self):
+        """An epoch of three batches over 200 relations at n = 64 and m = 200
+        drops each batch's gradients, a dense (c, n, n) concept gradient of
+        about 6 MB here, before the next batch's are built: its traced peak
+        stays under one batch_gradients call's plus half a concept gradient."""
+        import tracemalloc
+
+        from conceptkb.data import build_store
+        from conceptkb.sampling import corrupt_batch
+
+        n, m, R, E, B = 64, 200, 200, 1000, 400
+        hp = Hyperparams(n=n, m=m, k=2, gamma=1.0, ell=1, epochs=1, batch_size=B,
+                         init_noise_sd=0.1, sampling_mode="uniform")
+        rng = np.random.default_rng(1)
+        train_rows = np.stack([rng.integers(E, size=3 * B), np.arange(3 * B) % R,
+                               rng.integers(E, size=3 * B)], axis=1)
+        store = build_store(train_rows, n_entities=E, n_relations=R)
+        state = make_state(store, hp, seed=0)
+        # a batch over every relation touches the most concepts a batch can
+        pos = train_rows[:B]
+        neg = corrupt_batch(pos, store, hp.sampling_mode, state.sampler, hp.domain_side_rule)
+        tracemalloc.start()
+        try:
+            _, grads = batch_gradients(state.params, hp, pos, neg)
+            one = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        concept_bytes = grads["concept_tensor"][1].nbytes
+        del grads
+        tracemalloc.start()
+        try:
+            sgd_epoch(state, store, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one + concept_bytes // 2
+
     def test_zero_lr_keeps_parameters(self, tiny_store, tiny_hp):
         hp = tiny_hp.with_updates(lr=0.0)
         state = make_state(tiny_store, hp, seed=0)
