@@ -154,7 +154,7 @@ def hyperparams_from(resolved: dict) -> Hyperparams:
 
 
 def _workers(resolved: dict) -> int:
-    """Evaluation thread count; 0 means every core."""
+    """Thread count of evaluation and block updates; 0 means every core."""
     return resolved["workers"] or (os.cpu_count() or 1)
 
 
@@ -378,7 +378,8 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
                    help=f"directory with train.txt/valid.txt/test.txt (default ${ENV_DATA_DIR})")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help="evaluation worker threads (0 = all cores)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker threads of evaluation and block updates (0 = all cores)")
 
 
 def _add_hyper_options(p: argparse.ArgumentParser) -> None:

@@ -30,17 +30,19 @@ alive at a time: :func:`sgd_epoch` drops them before the next batch's are
 built.
 
 Block reassignment screens a relation side's concepts in float32, in
-chunks under a fixed byte cap (:data:`BLOCK_CHUNK_BYTES`), each chunk with
-one BLAS product per pass over its pairs.  A proven bound on each screened
-cost (:mod:`conceptkb.bounds`) rules out every concept that cannot be among
-the k cheapest; the few left are re-scored in float64, one concept at a
-time, and the support is the stable bottom-k of those float64 costs.  They
-agree with the scalar :func:`single_matrix_cost` to rounding, not bitwise.
+L2-sized chunks (:data:`BLOCK_CHUNK_BYTES`), each chunk with one BLAS
+product per pass over its pairs.  A proven bound on each screened cost
+(:mod:`conceptkb.bounds`) rules out every concept that cannot be among the
+k cheapest; when more than k are left, they are re-scored in float64, one
+concept at a time, and the support is the stable bottom-k of those float64
+costs.  They agree with the scalar :func:`single_matrix_cost` to rounding,
+not bitwise.  The relation sides are independent and may run on threads.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +64,9 @@ from .sampling import DomainSampler, corrupt_batch
 
 
 # byte cap of the float32 (B, c, n) buffer that the block screen projects a
-# chunk of c concepts into; 32 MiB holds 167 concepts of 500 pairs at n=100
-BLOCK_CHUNK_BYTES = 32 * 2**20
+# chunk of c concepts into; 1 MiB, which fits a 2 MiB L2 beside the GEMM's
+# operands, holds 5 concepts of 500 pairs at n=100
+BLOCK_CHUNK_BYTES = 2**20
 # byte cap of the composed (n, n) projections, both sides, alive at a time in
 # one SGD window; 4 MiB holds 26 relations at n=100 and all 18 at n=50
 SGD_WINDOW_BYTES = 4 * 2**20
@@ -487,8 +490,10 @@ def _side_costs(
     (the negated difference, with the same norm).
 
     The screen scores the concepts in chunks of as many as fit a float32
-    (B, c, n) buffer of :data:`BLOCK_CHUNK_BYTES`, so memory does not grow
-    with the number of pairs B when ``block_budget`` is None.  Each pass
+    (B, c, n) buffer of :data:`BLOCK_CHUNK_BYTES`, small enough to stay in
+    a core's L2 cache, so memory does not grow with the number of pairs B
+    when ``block_budget`` is None.  The chunk width can move the screened
+    bits, but not past ``delta``, which holds for any summation order.  Each pass
     (positives, then corrupted pairs) projects its B entities through a
     chunk's c concepts as one float32 GEMM ``e @ D[chunk].reshape(c·n, n).T``
     into that buffer, subtracts the offset and reduces over n into the
@@ -568,7 +573,8 @@ def _side_costs(
     return screened, delta, rescore
 
 
-def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed: int = 0) -> int:
+def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed: int = 0,
+                 workers: int = 1) -> int:
     """Reassign every relation's head and tail supports to the k cheapest
     concepts; returns how many relation sides changed support.
 
@@ -579,33 +585,50 @@ def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed:
     Each side is screened in float32 (:func:`_side_costs`), which bounds
     every cost to ĉᵢ ± Δᵢ.  With T the k-th smallest ĉᵢ + Δᵢ, at least k
     concepts cost at most T, so a concept with ĉᵢ - Δᵢ > T costs more than
-    the k-th smallest and cannot be among the bottom k, ties included.
-    The rest are re-scored in float64 and the support is the stable
-    bottom-k of those costs: the one the float64 costs of all m concepts
-    would give.  Raises :class:`TrainingError` on parameters the screen
-    cannot take.
+    the k-th smallest and cannot be among the bottom k, ties included.  The
+    band of concepts with ĉᵢ - Δᵢ ≤ T therefore holds the float64 bottom-k
+    of all m concepts.  When it holds exactly k, it is that bottom-k, in
+    ascending order, and nothing is re-scored.  Otherwise its concepts are
+    re-scored in float64 and the support is the stable bottom-k of those
+    costs: the one the float64 costs of all m concepts would give.
+
+    With ``workers`` > 1 the sides, each with its own generator and
+    buffers, are scored on that many threads.  Results are taken in task
+    order and written back in relation order, so the supports, the count
+    and the side a :class:`TrainingError` names (the first failing one in
+    relation order) do not depend on ``workers``.  Raises
+    :class:`TrainingError` on parameters the screen cannot take, before any
+    support changes.
     """
     sampler = DomainSampler(store, hp.domain_lambda)
     concepts32 = params.concept_tensor.astype(np.float32)
     concept_norms = np.array([_matrix_norm(d, hp.ell) for d in params.concept_tensor])
-    new_head: dict[int, np.ndarray] = {}
-    new_tail: dict[int, np.ndarray] = {}
-    for r in store.by_relation:
-        for side, out in ((SIDE_HEAD, new_head), (SIDE_TAIL, new_tail)):
-            screened, delta, rescore = _side_costs(store, r, side, params, hp, seed, sampler,
-                                                   concepts32, concept_norms)
-            # bounds stepped outward, so that rounding them cannot narrow the band
-            upper = np.nextafter(screened + delta, np.inf)
-            limit = np.partition(upper, hp.k - 1)[hp.k - 1]
-            band = np.flatnonzero(np.nextafter(screened - delta, -np.inf) <= limit)
-            out[r] = np.sort(band[np.argsort(rescore(band), kind="stable")[: hp.k]])
+
+    def side_support(task: tuple[int, str]) -> np.ndarray:
+        r, side = task
+        screened, delta, rescore = _side_costs(store, r, side, params, hp, seed, sampler,
+                                               concepts32, concept_norms)
+        # bounds stepped outward, so that rounding them cannot narrow the band
+        upper = np.nextafter(screened + delta, np.inf)
+        limit = np.partition(upper, hp.k - 1)[hp.k - 1]
+        band = np.flatnonzero(np.nextafter(screened - delta, -np.inf) <= limit)
+        if len(band) == hp.k:
+            return band
+        return np.sort(band[np.argsort(rescore(band), kind="stable")[: hp.k]])
+
+    tasks = [(r, side) for r in store.by_relation for side in (SIDE_HEAD, SIDE_TAIL)]
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chosen = list(pool.map(side_support, tasks))
+    else:
+        chosen = [side_support(task) for task in tasks]
     changed = 0
-    for assign, new in ((params.head_assign, new_head), (params.tail_assign, new_tail)):
-        for r, chosen in new.items():
-            row = np.zeros_like(assign[r])
-            row[chosen] = 1
-            changed += not np.array_equal(row, assign[r])
-            assign[r] = row
+    for (r, side), support in zip(tasks, chosen):
+        assign = params.head_assign if side == SIDE_HEAD else params.tail_assign
+        row = np.zeros_like(assign[r])
+        row[support] = 1
+        changed += not np.array_equal(row, assign[r])
+        assign[r] = row
     return changed
 
 
@@ -629,8 +652,10 @@ def train(
     are recorded every ``eval_every`` epochs; with ``early_stop_patience``
     > 0 training stops once hits@10 has not improved for that many epochs.
     ``on_epoch(state, epoch, loss)`` may return True to stop early.
-    ``workers`` is the validation thread count.  Parameters that ranking
-    or block scoring cannot take raise :class:`TrainingError`.
+    ``workers`` is the thread count of validation and of block updates.
+    Each block update's record holds its wall time in ``seconds``.
+    Parameters that ranking or block scoring cannot take raise
+    :class:`TrainingError`.
     """
     from .evaluation import evaluate  # local import; evaluation depends on model only
 
@@ -654,8 +679,11 @@ def train(
             and epoch <= block_stop
         ):
             bseed = int(state.block_rng.integers(2**31))
-            changed = block_update(state.params, store, hp, seed=bseed)
-            history["block_updates"].append({"epoch": epoch, "seed": bseed, "changed_sides": changed})
+            t0 = time.perf_counter()
+            changed = block_update(state.params, store, hp, seed=bseed, workers=workers)
+            wall = time.perf_counter() - t0
+            history["block_updates"].append(
+                {"epoch": epoch, "seed": bseed, "changed_sides": changed, "seconds": wall})
 
         if eval_every and eval_split is not None and len(eval_split) and epoch % eval_every == 0:
             try:

@@ -115,6 +115,17 @@ class TestTrainCommand:
         b = (out_b / "checkpoint.npz").read_bytes()
         assert a == b
 
+    def test_workers_identical_checkpoints(self, data_dir, tmp_path):
+        """Block updates on two threads write the serial run's checkpoint."""
+        args = [*TRAIN_ARGS, "--epochs", "8", "--block-every", "2", "--block-stop", "8"]
+        outs = [tmp_path / f"w{flag}" for flag in ("1", "2")]
+        for out, flag in zip(outs, ("1", "2")):
+            assert main(["train", "--data-dir", str(data_dir), "--out", str(out), *args,
+                         "--workers", flag]) == EXIT_OK
+        updates = json.loads((outs[0] / "history.json").read_text())["block_updates"]
+        assert len(updates) == 4 and sum(u["changed_sides"] for u in updates) > 0
+        assert (outs[0] / "checkpoint.npz").read_bytes() == (outs[1] / "checkpoint.npz").read_bytes()
+
     def test_reproducible_from_emitted_config(self, data_dir, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["train", "--data-dir", str(data_dir), "--out", str(out_a), *TRAIN_ARGS])

@@ -638,6 +638,28 @@ def scalar_bottom_k(store, params, hp, seed, side="head", r=0):
     return np.sort(np.argsort(costs, kind="stable")[: hp.k]), np.array(costs)
 
 
+@pytest.fixture
+def rescored(monkeypatch):
+    """The relation side of every ``rescore`` call, from :func:`side_screen`
+    or :func:`block_update`."""
+    import conceptkb.training as training
+
+    calls = []
+    real = training._side_costs
+
+    def spying(store, r, side, *args):
+        screened, delta, rescore = real(store, r, side, *args)
+
+        def spy(ids):
+            calls.append((r, side))
+            return rescore(ids)
+
+        return screened, delta, spy
+
+    monkeypatch.setattr(training, "_side_costs", spying)
+    return calls
+
+
 class TestBlockUpdate:
     def test_bottom_k_selection(self, tiny_store, tiny_hp):
         state = make_state(tiny_store, tiny_hp, seed=6)
@@ -742,6 +764,55 @@ class TestBlockUpdate:
         assert block_update(state.params, tiny_store, hp, seed=21) == 0
 
 
+class TestBlockWorkers:
+    """Relation sides scored on worker threads give the serial update."""
+
+    @pytest.mark.parametrize("budget", [None, 2])
+    def test_supports_do_not_depend_on_workers(self, budget):
+        """Four updates in a row on 1, 2 and 3 threads, with the interpreter
+        switching threads every microsecond."""
+        import sys
+
+        store = _synth.structured_kb(4, n_entities=80, n_relations=6, per_rel=60, dim=6)
+        hp = Hyperparams(n=8, m=7, k=2, gamma=1.0, epochs=1, init_noise_sd=0.5,
+                         sampling_mode="domain", domain_lambda=0.5, block_budget=budget)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                params = make_state(store, hp, seed=3).params
+                trace = []
+                for seed in range(4):
+                    changed = block_update(params, store, hp, seed=seed, workers=workers)
+                    trace.append((changed, params.head_assign.copy(), params.tail_assign.copy()))
+                runs.append(trace)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(changed for changed, _, _ in runs[0]) > 0
+        for trace in runs[1:]:
+            for (changed, head, tail), (changed1, head1, tail1) in zip(trace, runs[0]):
+                assert changed == changed1
+                np.testing.assert_array_equal(head, head1)
+                np.testing.assert_array_equal(tail, tail1)
+
+    @pytest.mark.parametrize("field, row, named", [
+        ("concept_tensor", 2, "relation 0 head"),
+        ("relation_emb", 1, "relation 1 head"),
+    ], ids=["nan-concept", "inf-offset-of-relation-1"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_error_names_first_failing_side(self, tiny_store, tiny_hp, field, row, named):
+        """On two threads the error still names the first failing side in
+        relation order, and no support changes."""
+        state = make_state(tiny_store, tiny_hp, seed=6)
+        getattr(state.params, field)[row] = np.nan if field == "concept_tensor" else np.inf
+        before = state.params.head_assign.copy(), state.params.tail_assign.copy()
+        with pytest.raises(TrainingError, match=f"^{named}: "):
+            block_update(state.params, tiny_store, tiny_hp, seed=13, workers=2)
+        np.testing.assert_array_equal(state.params.head_assign, before[0])
+        np.testing.assert_array_equal(state.params.tail_assign, before[1])
+
+
 class TestBlockScreen:
     """The float32 screen of block scoring and the float64 decision."""
 
@@ -767,10 +838,34 @@ class TestBlockScreen:
                 np.testing.assert_array_equal(np.flatnonzero(assign[r]), expected)
 
     @pytest.mark.parametrize("ell", [1, 2])
-    def test_twin_concepts_tie_to_lower_index(self, monkeypatch, ell):
+    def test_band_of_k_is_not_rescored(self, rescored, ell):
+        """Where the k-th and (k+1)-th smallest float64 costs lie more than
+        5 max Δ apart, each side's band holds exactly its bottom-k: nothing
+        is re-scored, and the support is the float64 bottom-k of all m."""
+        store = one_relation_store()
+        hp = Hyperparams(n=12, m=9, k=2, gamma=1.0, ell=ell, epochs=1, init_noise_sd=0.5,
+                         sampling_mode="bernoulli", block_budget=None)
+        params = make_state(store, hp, seed=2).params
+        snapshot = params.copy()
+        expected = {}
+        for side in ("head", "tail"):
+            _, delta, rescore = side_screen(store, 0, side, snapshot, hp, 5)
+            costs = rescore(np.arange(hp.m))
+            low = np.sort(costs)
+            assert low[hp.k] - low[hp.k - 1] > 5 * delta.max()
+            expected[side] = np.sort(np.argsort(costs, kind="stable")[: hp.k])
+        rescored.clear()
+        block_update(params, store, hp, seed=5)
+        assert rescored == []
+        np.testing.assert_array_equal(np.flatnonzero(params.head_assign[0]), expected["head"])
+        np.testing.assert_array_equal(np.flatnonzero(params.tail_assign[0]), expected["tail"])
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_twin_concepts_tie_to_lower_index(self, monkeypatch, rescored, ell):
         """Exact copies of the head side's cheapest concept at indices 1 and 4,
         screened in a chunk of two and a chunk of one, tie bitwise in the
-        float64 re-score, and the lower index wins."""
+        float64 re-score, and the lower index wins.  The band holds both, one
+        more than k, so the update re-scores it."""
         import conceptkb.training as training
 
         store = one_relation_store()
@@ -795,7 +890,9 @@ class TestBlockScreen:
             got = rescore(ids)
             assert all(c == twin for c, i in zip(got, ids) if i in (1, 4))
         assert (rescore([0, 2, 3]) >= twin).all()
+        rescored.clear()
         block_update(params, store, hp, seed=8)
+        assert (0, "head") in rescored
         assert np.flatnonzero(params.head_assign[0]).tolist() == [1]
 
     @pytest.mark.parametrize("ell", [1, 2])
@@ -873,6 +970,7 @@ class TestTrain:
         assert [b["epoch"] for b in history["block_updates"]] == [2, 4]
         for record in history["block_updates"]:
             assert 0 <= record["changed_sides"] <= 2 * tiny_store.n_relations
+            assert record["seconds"] > 0
 
     def test_block_every_zero_records_no_updates(self, tiny_store, tiny_hp):
         hp = tiny_hp.with_updates(epochs=3, block_every=0)
