@@ -6,65 +6,37 @@ continuous parameters with discrete reassignment of the supports.  Plain
 translation and per-relation two-matrix baselines, uniform/Bernoulli/
 domain negative sampling, and the filtered ranking protocol round out the
 engine.
+
+Names load their module on first use, so importing the package does not
+load numpy: the command line fixes BLAS's thread count first.
 """
 
-from .data import (
-    DataError,
-    FrequencyBins,
-    TripleParseError,
-    TripleStore,
-    Vocab,
-    VocabularyError,
-    bin_relations,
-    build_store,
-    load_dataset,
-    load_triples,
-)
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .evaluation import EvalReport, evaluate
-from .model import AttentionSnapshot, Hyperparams, ModelParams, attention_snapshot, init_params
-from .sampling import DomainSampler, corrupt_batch, domain_probability
-from .training import (
-    TrainingError,
-    TrainState,
-    block_update,
-    make_state,
-    sgd_epoch,
-    single_matrix_cost,
-    train,
-)
+from importlib import import_module
 
-__all__ = [
-    "AttentionSnapshot",
-    "CheckpointError",
-    "DataError",
-    "DomainSampler",
-    "EvalReport",
-    "FrequencyBins",
-    "Hyperparams",
-    "ModelParams",
-    "TrainState",
-    "TrainingError",
-    "TripleParseError",
-    "TripleStore",
-    "Vocab",
-    "VocabularyError",
-    "attention_snapshot",
-    "bin_relations",
-    "block_update",
-    "build_store",
-    "corrupt_batch",
-    "domain_probability",
-    "evaluate",
-    "init_params",
-    "load_checkpoint",
-    "load_dataset",
-    "load_triples",
-    "make_state",
-    "save_checkpoint",
-    "sgd_epoch",
-    "single_matrix_cost",
-    "train",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("DataError", "FrequencyBins", "TripleParseError", "TripleStore", "Vocab",
+         "VocabularyError", "bin_relations", "build_store", "load_dataset", "load_triples"),
+        "data"),
+    **dict.fromkeys(("CheckpointError", "load_checkpoint", "save_checkpoint"), "checkpoint"),
+    **dict.fromkeys(("EvalReport", "evaluate"), "evaluation"),
+    **dict.fromkeys(("AttentionSnapshot", "Hyperparams", "ModelParams", "attention_snapshot",
+                     "init_params"), "model"),
+    **dict.fromkeys(("DomainSampler", "corrupt_batch", "domain_probability"), "sampling"),
+    **dict.fromkeys(("TrainingError", "TrainState", "block_update", "make_state", "sgd_epoch",
+                     "single_matrix_cost", "train"), "training"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -6,6 +6,10 @@ its fully resolved configuration next to its outputs so the exact run can
 be replayed with ``--config``.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error.
+
+Importing this module before numpy runs BLAS on one thread, unless the
+environment sets a count, so that ``--workers`` threads do not contend
+with BLAS's own.
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from .threads import pin_blas_threads
+
+pin_blas_threads()  # before numpy loads, since BLAS reads the count then
+
+import numpy as np  # noqa: E402
 
 from .checkpoint import CheckpointError, check_vocab, load_checkpoint, save_checkpoint
 from .data import (
@@ -379,7 +387,8 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads of evaluation and block updates (0 = all cores)")
+                   help="worker threads of evaluation and block updates (0 = all cores); "
+                        "BLAS runs on one thread unless OPENBLAS/MKL/OMP_NUM_THREADS is set")
 
 
 def _add_hyper_options(p: argparse.ArgumentParser) -> None:

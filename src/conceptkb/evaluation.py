@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -33,6 +32,7 @@ import numpy as np
 from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm, _max_row_norm
 from .data import DataError, FrequencyBins, TripleStore, Vocab
 from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
+from .threads import map_ordered
 
 HITS_CUTOFF = 10
 # widest of the near-equal blocks candidate columns are split into.  Below about
@@ -283,11 +283,7 @@ def evaluate(
                       for side in sides]
 
     relations = np.unique(split[:, 1]).tolist()
-    if workers > 1 and len(relations) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(rank_relation, relations))
-    else:
-        groups = [rank_relation(r) for r in relations]
+    groups = map_ordered(rank_relation, relations, workers)
     # ranks[i, j]: row i of the split on side j
     ranks = np.zeros((len(split), len(sides)), dtype=np.int64)
     for rows, side_ranks in groups:

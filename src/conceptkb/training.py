@@ -30,19 +30,19 @@ alive at a time: :func:`sgd_epoch` drops them before the next batch's are
 built.
 
 Block reassignment screens a relation side's concepts in float32, in
-L2-sized chunks (:data:`BLOCK_CHUNK_BYTES`), each chunk with one BLAS
-product per pass over its pairs.  A proven bound on each screened cost
-(:mod:`conceptkb.bounds`) rules out every concept that cannot be among the
-k cheapest; when more than k are left, they are re-scored in float64, one
-concept at a time, and the support is the stable bottom-k of those float64
-costs.  They agree with the scalar :func:`single_matrix_cost` to rounding,
-not bitwise.  The relation sides are independent and may run on threads.
+chunks under a byte cap (:data:`BLOCK_CHUNK_BYTES`, L2-sized when BLAS
+runs on one thread), each chunk with one BLAS product per pass over its
+pairs.  A proven bound on each screened cost (:mod:`conceptkb.bounds`)
+rules out every concept that cannot be among the k cheapest; when more
+than k are left, they are re-scored in float64, one concept at a time,
+and the support is the stable bottom-k of those float64 costs.  They
+agree with the scalar :func:`single_matrix_cost` to rounding, not
+bitwise.  The relation sides are independent and may run on threads.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +61,15 @@ from .model import (
     supports,
 )
 from .sampling import DomainSampler, corrupt_batch
+from .threads import blas_threads, map_ordered
 
 
 # byte cap of the float32 (B, c, n) buffer that the block screen projects a
-# chunk of c concepts into; 1 MiB, which fits a 2 MiB L2 beside the GEMM's
-# operands, holds 5 concepts of 500 pairs at n=100
-BLOCK_CHUNK_BYTES = 2**20
+# chunk of c concepts into.  With BLAS on one thread it is 1 MiB, which fits a
+# 2 MiB L2 beside the GEMM's operands and holds 5 concepts of 500 pairs at
+# n=100.  A multithreaded BLAS hands every GEMM to its threads, so there fewer,
+# larger products are faster: 32 MiB, 167 concepts of 500 pairs
+BLOCK_CHUNK_BYTES = 2**20 if blas_threads() == 1 else 32 * 2**20
 # byte cap of the composed (n, n) projections, both sides, alive at a time in
 # one SGD window; 4 MiB holds 26 relations at n=100 and all 18 at n=50
 SGD_WINDOW_BYTES = 4 * 2**20
@@ -490,14 +493,15 @@ def _side_costs(
     (the negated difference, with the same norm).
 
     The screen scores the concepts in chunks of as many as fit a float32
-    (B, c, n) buffer of :data:`BLOCK_CHUNK_BYTES`, small enough to stay in
-    a core's L2 cache, so memory does not grow with the number of pairs B
-    when ``block_budget`` is None.  The chunk width can move the screened
-    bits, but not past ``delta``, which holds for any summation order.  Each pass
-    (positives, then corrupted pairs) projects its B entities through a
-    chunk's c concepts as one float32 GEMM ``e @ D[chunk].reshape(c·n, n).T``
-    into that buffer, subtracts the offset and reduces over n into the
-    pass's (B, m) energies; the hinges and their sum are formed in float64.
+    (B, c, n) buffer of :data:`BLOCK_CHUNK_BYTES`, which with a
+    single-threaded BLAS is small enough to stay in a core's L2 cache, so
+    memory does not grow with the number of pairs B when ``block_budget``
+    is None.  The chunk width can move the screened bits, but not past
+    ``delta``, which holds for any summation order.  Each pass (positives,
+    then corrupted pairs) projects its B entities through a chunk's c
+    concepts as one float32 GEMM ``e @ D[chunk].reshape(c·n, n).T`` into
+    that buffer, subtracts the offset and reduces over n into the pass's
+    (B, m) energies; the hinges and their sum are formed in float64.
 
     The bound: by :func:`_error_bound`, each screened energy is within
     δ_b = _error_bound(n, ‖|D_i|‖, ‖e_b‖, ‖offset_b‖) of its float64
@@ -617,11 +621,7 @@ def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed:
         return np.sort(band[np.argsort(rescore(band), kind="stable")[: hp.k]])
 
     tasks = [(r, side) for r in store.by_relation for side in (SIDE_HEAD, SIDE_TAIL)]
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chosen = list(pool.map(side_support, tasks))
-    else:
-        chosen = [side_support(task) for task in tasks]
+    chosen = map_ordered(side_support, tasks, workers)
     changed = 0
     for (r, side), support in zip(tasks, chosen):
         assign = params.head_assign if side == SIDE_HEAD else params.tail_assign
