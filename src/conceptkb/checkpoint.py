@@ -36,7 +36,7 @@ def save_checkpoint(
 ) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
-        "hyperparams": hp.to_dict(),
+        "hyperparams": dataclasses.asdict(hp),
         "entity_hash": vocab.entity_hash() if vocab is not None else None,
         "relation_hash": vocab.relation_hash() if vocab is not None else None,
         "n_entities": params.n_entities,
@@ -74,7 +74,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Hyperparams, dict]:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version!r}")
     try:
-        hp = Hyperparams.from_dict(meta["hyperparams"])
+        hp = Hyperparams(**meta["hyperparams"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad hyperparameters in checkpoint {path}: {exc}") from exc
     params = ModelParams(**arrays)

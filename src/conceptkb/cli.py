@@ -5,7 +5,7 @@ the ``--config`` key=value file, then explicit flags.  Every run writes
 its fully resolved configuration next to its outputs so the exact run can
 be replayed with ``--config``.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error.
+Exit codes: 0 success, 2 usage error, 3 data or I/O error, 4 runtime error.
 
 Importing this module before numpy runs BLAS on one thread, unless the
 environment sets a count, so that ``--workers`` threads do not contend
@@ -15,30 +15,25 @@ with BLAS's own.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .threads import pin_blas_threads
+from .threads import pin_blas_threads, usable_cores
 
 pin_blas_threads()  # before numpy loads, since BLAS reads the count then
 
 import numpy as np  # noqa: E402
 
 from .checkpoint import CheckpointError, check_vocab, load_checkpoint, save_checkpoint
-from .data import (
-    DataError,
-    TripleStore,
-    Vocab,
-    bin_relations,
-    load_dataset,
-)
-from .evaluation import evaluate, load_report, per_relation_csv, report_json, report_text
-from .export import ExportError, export_attention, export_bin_comparison, export_frequency
-from .model import ATTENTION_MODES, MODELS, SAMPLING_MODES, Hyperparams, attention_snapshot
+from .data import DataError, TripleStore, Vocab, bin_relations, load_dataset
+from .evaluation import evaluate, load_report, report_json, report_text
+from .export import (ExportError, _write_csv, export_attention, export_bin_comparison,
+                     export_frequency, per_relation_csv)
+from .model import (ATTENTION_MODES, MODELS, SAMPLING_MODES, Hyperparams, InitError,
+                    attention_snapshot)
 from .training import TrainingError, train
 
 ENV_DATA_DIR = "CONCEPTKB_DATA"
@@ -57,7 +52,7 @@ DATASET_DEFAULTS = {
 _HP_KEYS = tuple(f.name for f in dataclasses.fields(Hyperparams))
 
 _BASE_DEFAULTS = {
-    **Hyperparams().to_dict(),
+    **dataclasses.asdict(Hyperparams()),
     "seed": 0,
     "dataset": "custom",
     "data_dir": None,
@@ -156,14 +151,14 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 def hyperparams_from(resolved: dict) -> Hyperparams:
     try:
-        return Hyperparams.from_dict({k: resolved[k] for k in _HP_KEYS})
+        return Hyperparams(**{k: resolved[k] for k in _HP_KEYS})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _workers(resolved: dict) -> int:
-    """Thread count of evaluation and block updates; 0 means every core."""
-    return resolved["workers"] or (os.cpu_count() or 1)
+    """Thread count of evaluation and block updates; 0 means every usable core."""
+    return resolved["workers"] or usable_cores()
 
 
 def _require_data_dir(resolved: dict) -> Path:
@@ -242,6 +237,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     resolved = resolve_options(args)
     if not args.checkpoint:
         raise UsageError("--checkpoint is required")
+    if args.bins < 0:
+        raise UsageError(f"--bins must be at least 0, got {args.bins}")
     params, hp, meta = load_checkpoint(args.checkpoint)
     store, vocab = _load_store(resolved)
     check_vocab(meta, vocab)
@@ -329,11 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         header.append("epoch_seconds")
     header.append("error")
     sweep_path = out_dir / "sweep.csv"
-    with sweep_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(k, "") for k in header])
+    _write_csv(sweep_path, header, [[row.get(k, "") for k in header] for row in rows])
     print(f"sweep table written to {sweep_path}")
     return EXIT_OK
 
@@ -361,8 +354,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.what == "bins":
         if not args.reports:
             raise UsageError("export bins needs at least one --report name=path from eval runs")
+        if args.bins < 1:
+            raise UsageError(f"--bins must be at least 1, got {args.bins}")
         store, vocab = _load_store(resolved)
-        bins = bin_relations(store, args.bins or 3)
+        bins = bin_relations(store, args.bins)
         reports = {}
         for entry in args.reports:
             if "=" not in entry:
@@ -485,10 +480,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ExportError) as exc:
+    except (UsageError, ExportError, InitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:

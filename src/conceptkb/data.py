@@ -138,12 +138,6 @@ def load_triples(
     return np.array(ids, dtype=np.int64).reshape(-1, 3), vocab
 
 
-def decode_triples(triples: np.ndarray, vocab: Vocab) -> list[str]:
-    """Inverse of :func:`load_triples`: ids back to tab-separated lines."""
-    ent, rel = vocab.entity_names, vocab.relation_names
-    return [f"{ent[h]}\t{rel[r]}\t{ent[t]}" for h, r, t in np.asarray(triples)]
-
-
 @dataclass
 class TripleStore:
     """Immutable bundle of encoded splits and training-split statistics.

@@ -21,7 +21,6 @@ scored every candidate.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -31,7 +30,7 @@ import numpy as np
 
 from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm, _max_row_norm
 from .data import DataError, FrequencyBins, TripleStore, Vocab
-from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, compose
+from .model import SIDE_HEAD, SIDE_TAIL, Hyperparams, ModelParams, projections, supports
 from .threads import map_ordered
 
 HITS_CUTOFF = 10
@@ -148,8 +147,8 @@ def _candidate_energies(
         w = w_other = None
     else:
         other_side = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
-        w = compose(params, hp, side, [r])[2][0]
-        w_other = compose(params, hp, other_side, [r])[2][0]
+        w = projections(params, hp, *supports(params, hp, side, [r]))[0]
+        w_other = projections(params, hp, *supports(params, hp, other_side, [r]))[0]
     w_norm = 1.0 if w is None else _matrix_norm(w, hp.ell)
     if not (w_norm <= _NORM_LIMIT and ent_norm <= _NORM_LIMIT):
         raise ValueError(f"relation {r} {side}: the candidate table is not finite "
@@ -358,18 +357,3 @@ def report_text(report: EvalReport, vocab: Vocab | None = None) -> str:
                 f"{name(r):<{width}}  {m.count:>6d}  {m.mean_rank:>10.2f}  {m.hits_at_10:>8.2f}"
             )
     return "\n".join(lines) + "\n"
-
-
-def per_relation_csv(report: EvalReport, path: str | Path, vocab: Vocab | None = None) -> None:
-    """One row per relation: id, optional name, count, mean rank, hits@10."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["relation", "count", "mean_rank", "hits_at_10"]
-        if vocab is not None:
-            header.insert(1, "name")
-        writer.writerow(header)
-        for r, m in sorted(report.per_relation.items()):
-            row = [r, m.count, repr(m.mean_rank), repr(m.hits_at_10)]
-            if vocab is not None:
-                row.insert(1, vocab.relation_names[r])
-            writer.writerow(row)

@@ -1,8 +1,9 @@
-"""Plot-ready data files: attention heatmaps, frequency curves, bin tables.
+"""Plot-ready data files: attention heatmaps, frequency curves, bin tables,
+and the per-relation metrics of an eval report.
 
 Every export is a pure function of its inputs and writes an RFC-4180-style
-CSV plus a JSON mirror next to it (same stem, ``.json`` suffix).  Numeric
-cells use full round-trip precision.
+CSV; all but the per-relation table also write a JSON mirror next to it
+(same stem, ``.json`` suffix).  Numeric cells use full round-trip precision.
 """
 
 from __future__ import annotations
@@ -117,3 +118,17 @@ def export_bin_comparison(
     _write_csv(path, header, rows)
     _write_json_mirror(path, header, rows)
     return path
+
+
+def per_relation_csv(report: EvalReport, path: str | Path, vocab: Vocab | None = None) -> None:
+    """One row per relation: id, optional name, count, mean rank, hits@10."""
+    header = ["relation", "count", "mean_rank", "hits_at_10"]
+    if vocab is not None:
+        header.insert(1, "name")
+    rows = []
+    for r, m in sorted(report.per_relation.items()):
+        row = [r, m.count, repr(m.mean_rank), repr(m.hits_at_10)]
+        if vocab is not None:
+            row.insert(1, vocab.relation_names[r])
+        rows.append(row)
+    _write_csv(Path(path), header, rows)

@@ -12,7 +12,7 @@ and identity slices recover plain translation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -84,16 +84,6 @@ class Hyperparams:
 
     def effective_block_stop(self) -> int:
         return self.epochs // 2 if self.block_stop is None else self.block_stop
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparams":
-        return cls(**d)
-
-    def with_updates(self, **kw) -> "Hyperparams":
-        return replace(self, **kw)
 
 
 @dataclass
@@ -342,18 +332,6 @@ def projections(
             proj += D[i] * wi
         W.append(proj)
     return W
-
-
-def compose(
-    params: ModelParams, hp: Hyperparams, side: str, rels
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Compose the ``side`` projections of the relations in ``rels``.
-
-    Returns ``(act, weights, W)``: the support of :func:`supports` and the
-    list of the U ``(n, n)`` projections of :func:`projections`.
-    """
-    alpha, act, weights = supports(params, hp, side, rels)
-    return act, weights, projections(params, hp, alpha, act, weights)
 
 
 def vec_norm(u: np.ndarray, ell: int) -> float:

@@ -1,5 +1,5 @@
-"""Thread counts: BLAS's, and the ordered map that evaluation and block
-updates run on worker threads.
+"""Thread counts: the usable cores, BLAS's, and the ordered map that
+evaluation and block updates run on worker threads.
 
 This module does not import numpy, so the command line can fix BLAS's
 thread count through the environment before numpy loads
@@ -35,6 +35,14 @@ def pin_blas_threads() -> None:
             os.environ[var] = "1"
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def blas_threads() -> int:
     """BLAS's thread count as the environment sets it: the first of
     :data:`BLAS_THREAD_ENV` that holds a positive integer, else the usable
@@ -45,9 +53,7 @@ def blas_threads() -> int:
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
             return int(value)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:

@@ -49,12 +49,12 @@ import numpy as np
 
 from .bounds import _NORM_LIMIT, _error_bound, _matrix_norm, _max_row_norm
 from .data import TripleStore
+from .evaluation import evaluate
 from .model import (
     SIDE_HEAD,
     SIDE_TAIL,
     Hyperparams,
     ModelParams,
-    compose,
     init_params,
     projections,
     single_matrix_energy,
@@ -421,14 +421,13 @@ def _block_pairs(
     hp: Hyperparams,
     budget: int | None,
     seed: int,
-    sampler: DomainSampler | None = None,
+    sampler: DomainSampler,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive/corrupted pairs used to score relation r's concepts.
 
     The draw depends on (seed, r, side) only, never on the concept index,
     so every concept is scored on identical pairs.  ``sampler`` supplies
-    the domain probabilities (built from ``store`` when omitted); its own
-    generator is not used.
+    the domain probabilities of ``store``; its own generator is not used.
     """
     rows = store.by_relation.get(r)
     if rows is None or len(rows) == 0:
@@ -437,8 +436,6 @@ def _block_pairs(
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0 if side == SIDE_HEAD else 1]))
     if budget is not None and len(rows) > budget:
         rows = rows[rng.choice(len(rows), size=budget, replace=False)]
-    if sampler is None:
-        sampler = DomainSampler(store, hp.domain_lambda)
     neg = corrupt_batch(rows, store, hp.sampling_mode, sampler.reseeded(rng), hp.domain_side_rule)
     return rows, neg
 
@@ -459,7 +456,7 @@ def single_matrix_cost(
     with freshly corrupted partners; defined directly through the scalar
     energies, one pair at a time.
     """
-    pos, neg = _block_pairs(store, r, side, hp, budget, seed)
+    pos, neg = _block_pairs(store, r, side, hp, budget, seed, DomainSampler(store, hp.domain_lambda))
     cost = 0.0
     for (ph_, pr_, pt_), (nh_, _, nt_) in zip(pos.tolist(), neg.tolist()):
         e_pos = single_matrix_energy(side, i, ph_, pr_, pt_, params, hp)
@@ -523,7 +520,7 @@ def _side_costs(
     D = params.concept_tensor
     m, n, B = params.m, params.n, len(pos)
     other = SIDE_TAIL if side == SIDE_HEAD else SIDE_HEAD
-    w_other = compose(params, hp, other, [r])[2][0]
+    w_other = projections(params, hp, *supports(params, hp, other, [r]))[0]
     rv = -params.relation_emb[r] if side == SIDE_HEAD else params.relation_emb[r]
     var, fixed = (0, 2) if side == SIDE_HEAD else (2, 0)
     passes = []
@@ -624,7 +621,7 @@ def block_update(params: ModelParams, store: TripleStore, hp: Hyperparams, seed:
     chosen = map_ordered(side_support, tasks, workers)
     changed = 0
     for (r, side), support in zip(tasks, chosen):
-        assign = params.head_assign if side == SIDE_HEAD else params.tail_assign
+        assign = params.assign(side)
         row = np.zeros_like(assign[r])
         row[support] = 1
         changed += not np.array_equal(row, assign[r])
@@ -657,8 +654,6 @@ def train(
     Parameters that ranking or block scoring cannot take raise
     :class:`TrainingError`.
     """
-    from .evaluation import evaluate  # local import; evaluation depends on model only
-
     state = make_state(store, hp, seed, warm_start)
     history: dict = {"epochs": [], "block_updates": [], "evals": [], "stopped_epoch": None}
     block_stop = hp.effective_block_stop()

@@ -5,6 +5,12 @@ import numpy as np
 from conceptkb.data import build_store
 
 
+def decode_triples(triples, vocab):
+    """Ids back to the tab-separated lines that ``load_triples`` reads."""
+    ent, rel = vocab.entity_names, vocab.relation_names
+    return [f"{ent[h]}\t{rel[r]}\t{ent[t]}" for h, r, t in np.asarray(triples).tolist()]
+
+
 def unit_rows(rng, shape):
     x = rng.normal(size=shape)
     return x / np.linalg.norm(x, axis=-1, keepdims=True)

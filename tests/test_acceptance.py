@@ -18,7 +18,7 @@ import pytest
 import _synth
 from _oracles import energy_itransf, energy_stranse, energy_transe
 from conceptkb.cli import main
-from conceptkb.data import Vocab, build_store, decode_triples, load_dataset
+from conceptkb.data import Vocab, build_store, load_dataset
 from conceptkb.evaluation import evaluate
 from conceptkb.model import Hyperparams, init_params, sparse_softmax
 from conceptkb.sampling import DomainSampler, corrupt_batch, domain_probability
@@ -332,7 +332,7 @@ class TestCliDeterminism:
         data.mkdir()
         for name, split in (("train.txt", store.train), ("valid.txt", store.valid),
                             ("test.txt", store.test)):
-            (data / name).write_text("\n".join(decode_triples(split, vocab)) + "\n",
+            (data / name).write_text("\n".join(_synth.decode_triples(split, vocab)) + "\n",
                                      encoding="utf-8")
         args = ["--data-dir", str(data), "--n", "6", "--m", "4", "--k", "2",
                 "--gamma", "1", "--lr", "0.05", "--batch-size", "16",

@@ -8,7 +8,7 @@ import pytest
 import _synth
 from conceptkb.checkpoint import load_checkpoint
 from conceptkb.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main, read_config_file
-from conceptkb.data import decode_triples, Vocab
+from conceptkb.data import Vocab
 from conceptkb.model import Hyperparams
 
 
@@ -23,7 +23,7 @@ def data_dir(tmp_path_factory):
         vocab.add_relation(f"r{i}")
     root = tmp_path_factory.mktemp("data")
     for name, split in (("train.txt", store.train), ("valid.txt", store.valid), ("test.txt", store.test)):
-        (root / name).write_text("\n".join(decode_triples(split, vocab)) + "\n", encoding="utf-8")
+        (root / name).write_text("\n".join(_synth.decode_triples(split, vocab)) + "\n", encoding="utf-8")
     return root
 
 
@@ -46,6 +46,7 @@ def evaluate_workers(monkeypatch):
     """Record the ``workers`` of every evaluate call the CLI makes."""
     import conceptkb.cli as cli
     import conceptkb.evaluation as evaluation
+    import conceptkb.training as training
 
     seen = []
     real = evaluation.evaluate
@@ -56,6 +57,7 @@ def evaluate_workers(monkeypatch):
 
     monkeypatch.setattr(evaluation, "evaluate", recording)
     monkeypatch.setattr(cli, "evaluate", recording)
+    monkeypatch.setattr(training, "evaluate", recording)
     return seen
 
 
@@ -175,11 +177,16 @@ class TestTrainCommand:
         assert resolved["m"] == "30"        # dataset default survives
 
     @pytest.mark.parametrize("flag", ["2", "0"])
-    def test_workers_reach_validation(self, data_dir, tmp_path, evaluate_workers, flag):
+    def test_workers_reach_validation(self, data_dir, tmp_path, evaluate_workers, monkeypatch,
+                                      flag):
+        """``--workers 0`` counts the usable cores: one, for a process
+        pinned to CPU 0 on an 8-CPU machine."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         code = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "run"),
                      *TRAIN_ARGS, "--epochs", "2", "--eval-every", "1", "--workers", flag])
         assert code == EXIT_OK
-        assert evaluate_workers == [int(flag) or os.cpu_count() or 1] * 2
+        assert evaluate_workers == [int(flag) or 1] * 2
 
     @pytest.mark.parametrize("argv", [["train", "--dataset", "wn18", "--dry-run"],
                                       ["eval", "--split", "test"]])
@@ -523,6 +530,50 @@ class TestBadInputFiles:
                                     f"model={report}", "--out", str(tmp_path / "bins.csv")],
                                    EXIT_DATA, capsys)
         assert str(report) in err
+        assert not (tmp_path / "bins.csv").exists()
+
+    def test_stranse_with_wrong_m_is_usage_error(self, data_dir, tmp_path, capsys):
+        err = assert_one_line_exit(["train", "--data-dir", str(data_dir), "--out",
+                                    str(tmp_path / "run"), *TRAIN_ARGS, "--model", "stranse"],
+                                   EXIT_USAGE, capsys)
+        assert err.startswith("error: ") and "m == 2*|R|" in err
+
+    def test_warm_start_with_other_n_is_usage_error(self, data_dir, trained, tmp_path, capsys):
+        err = assert_one_line_exit(["train", "--data-dir", str(data_dir), "--out",
+                                    str(tmp_path / "run"), *TRAIN_ARGS, "--n", "7",
+                                    "--warm-start", str(trained)], EXIT_USAGE, capsys)
+        assert err.startswith("error: warm-start shape mismatch")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_out_naming_a_file_is_data_error(self, data_dir, trained, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        argv = ([*TRAIN_ARGS] if command == "train" else ["--checkpoint", str(trained)])
+        err = assert_one_line_exit([command, "--data-dir", str(data_dir), "--out", str(out), *argv],
+                                   EXIT_DATA, capsys)
+        assert str(out) in err
+
+    def test_per_relation_csv_under_a_file_is_data_error(self, data_dir, trained, tmp_path, capsys):
+        (tmp_path / "x").write_text("", encoding="utf-8")
+        err = assert_one_line_exit(["eval", "--checkpoint", str(trained), "--data-dir", str(data_dir),
+                                    "--out", str(tmp_path / "eval"),
+                                    "--per-relation-csv", str(tmp_path / "x" / "y.csv")],
+                                   EXIT_DATA, capsys)
+        assert str(tmp_path / "x" / "y.csv") in err
+
+    def test_negative_eval_bins_is_usage_error(self, data_dir, trained, tmp_path, capsys):
+        err = assert_one_line_exit(["eval", "--checkpoint", str(trained), "--data-dir", str(data_dir),
+                                    "--out", str(tmp_path / "eval"), "--bins", "-1"],
+                                   EXIT_USAGE, capsys)
+        assert err == "error: --bins must be at least 0, got -1\n"
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_export_bins_below_one_is_usage_error(self, data_dir, tmp_path, capsys, bins):
+        err = assert_one_line_exit(["export", "bins", "--data-dir", str(data_dir), "--report",
+                                    f"model={tmp_path / 'report.json'}", "--bins", bins,
+                                    "--out", str(tmp_path / "bins.csv")], EXIT_USAGE, capsys)
+        assert err == f"error: --bins must be at least 1, got {bins}\n"
         assert not (tmp_path / "bins.csv").exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _synth import decode_triples
 from conceptkb.data import (
     DataError,
     TripleParseError,
@@ -14,7 +15,6 @@ from conceptkb.data import (
     bin_relations,
     bins_from_frequencies,
     build_store,
-    decode_triples,
     load_dataset,
     load_triples,
 )

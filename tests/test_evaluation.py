@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -11,11 +12,11 @@ from conceptkb.data import bin_relations, build_store
 from conceptkb.evaluation import (
     evaluate,
     load_report,
-    per_relation_csv,
     report_json,
     report_text,
 )
-from conceptkb.model import ATTENTION_MODES, MODELS, Hyperparams, compose, init_params
+from conceptkb.export import per_relation_csv
+from conceptkb.model import ATTENTION_MODES, MODELS, Hyperparams, init_params, projections, supports
 
 
 def known_triples(store):
@@ -48,7 +49,7 @@ def brute_force_rank(triple, side, params, store, hp, filtered):
 class TestRankQuery:
     def test_unique_minimum_ranks_first(self, tiny_store, tiny_hp):
         params = init_params(tiny_store.n_entities, tiny_store.n_relations,
-                             tiny_hp.with_updates(init_noise_sd=0.0), seed=0)
+                             dataclasses.replace(tiny_hp, init_noise_sd=0.0), seed=0)
         h, r, t = 0, 0, 1
         params.entity_emb[h] = np.array([1.0, 0, 0, 0, 0])
         params.relation_emb[r] = np.array([0.0, 1.0, 0, 0, 0])
@@ -249,7 +250,8 @@ class TestTieRule:
             plant_near_ties(params, true, twins=(true - 2, true + 2), scaled=(true - 1, true + 1))
             planted += [true - 2, true - 1, true + 1, true + 2]
         for h, r, t in test.tolist():
-            w_h, w_t = (np.eye(hp.n) if model == "transe" else compose(params, hp, side, [r])[2][0]
+            w_h, w_t = (np.eye(hp.n) if model == "transe"
+                        else projections(params, hp, *supports(params, hp, side, [r]))[0]
                         for side in ("head", "tail"))
             params.relation_emb[r] = (w_t @ params.entity_emb[t] - w_h @ params.entity_emb[h]
                                       + 1e-3 * rng.normal(size=hp.n))
@@ -321,7 +323,7 @@ class TestEvaluate:
     def test_non_finite_parameters_raise(self, tiny_store, tiny_params, tiny_hp, model, target, value):
         """NaN energies are never below the true one, so such parameters used
         to rank every true entity first."""
-        hp = tiny_hp.with_updates(model=model)
+        hp = dataclasses.replace(tiny_hp, model=model)
         params = tiny_params.copy()
         getattr(params, target)[:] = value
         with pytest.raises(ValueError, match=r"^relation \d+ (head|tail): the (candidate table|fixed "

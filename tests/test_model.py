@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,13 @@ from conceptkb.model import (
     attention,
     attention_snapshot,
     attention_vector,
-    compose,
     init_params,
     project,
+    projections,
     single_matrix_energy,
     sparse_softmax,
     stranse_assignments,
+    supports,
 )
 
 
@@ -35,7 +38,7 @@ class TestHyperparams:
 
     def test_round_trip(self):
         hp = Hyperparams(n=7, m=3, k=1, block_stop=9)
-        assert Hyperparams.from_dict(hp.to_dict()) == hp
+        assert Hyperparams(**dataclasses.asdict(hp)) == hp
 
     def test_block_stop_default_half(self):
         assert Hyperparams(epochs=100).effective_block_stop() == 50
@@ -118,26 +121,26 @@ class TestProject:
 
 class TestEnergies:
     def test_transe_exact_translation(self, tiny_hp):
-        params = init_params(3, 1, tiny_hp.with_updates(n=2), seed=0)
+        params = init_params(3, 1, dataclasses.replace(tiny_hp, n=2), seed=0)
         params.entity_emb[0] = [1.0, 0.0]
         params.relation_emb[0] = [0.0, 1.0]
         params.entity_emb[1] = [1.0, 1.0]
-        hp = tiny_hp.with_updates(n=2, ell=2)
+        hp = dataclasses.replace(tiny_hp, n=2, ell=2)
         assert energy_transe(0, 0, 1, params, hp) == 0.0
 
     def test_transe_l1_unit_offset(self, tiny_hp):
-        params = init_params(3, 1, tiny_hp.with_updates(n=2), seed=0)
+        params = init_params(3, 1, dataclasses.replace(tiny_hp, n=2), seed=0)
         params.entity_emb[0] = [1.0, 0.0]
         params.relation_emb[0] = [0.0, 0.0]
         params.entity_emb[1] = [0.0, 0.0]
-        assert energy_transe(0, 0, 1, params, tiny_hp.with_updates(n=2, ell=1)) == 1.0
+        assert energy_transe(0, 0, 1, params, dataclasses.replace(tiny_hp, n=2, ell=1)) == 1.0
 
     def test_transe_l2_hand_norm(self, tiny_hp):
-        params = init_params(3, 1, tiny_hp.with_updates(n=2), seed=0)
+        params = init_params(3, 1, dataclasses.replace(tiny_hp, n=2), seed=0)
         params.entity_emb[0] = [0.6, 0.8]
         params.relation_emb[0] = [0.0, 0.0]
         params.entity_emb[1] = [0.0, 0.0]
-        assert energy_transe(0, 0, 1, params, tiny_hp.with_updates(n=2, ell=2)) == pytest.approx(1.0)
+        assert energy_transe(0, 0, 1, params, dataclasses.replace(tiny_hp, n=2, ell=2)) == pytest.approx(1.0)
 
     def test_identity_concepts_translation_satisfied(self):
         hp = Hyperparams(n=3, m=2, k=1, init_noise_sd=0.0, epochs=1)
@@ -275,7 +278,7 @@ class TestInitParams:
         hp = Hyperparams(n=5, m=4, k=2, epochs=1)
         donor = init_params(9, 3, hp, seed=1)
         with pytest.raises(InitError):
-            init_params(9, 3, hp.with_updates(n=6), seed=2, warm_start=donor)
+            init_params(9, 3, dataclasses.replace(hp, n=6), seed=2, warm_start=donor)
 
     def test_unit_entity_rows(self):
         hp = Hyperparams(n=8, m=2, k=1, epochs=1)
@@ -375,7 +378,8 @@ class TestAttention:
 
 class TestComposedMatrix:
     def test_matches_naive_combination(self, tiny_params, tiny_hp):
-        _, _, W = compose(tiny_params, tiny_hp, "head", range(tiny_params.n_relations))
+        W = projections(tiny_params, tiny_hp,
+                        *supports(tiny_params, tiny_hp, "head", range(tiny_params.n_relations)))
         for r in range(tiny_params.n_relations):
             alpha = attention_vector(tiny_params, tiny_hp, r, "head")
             naive = np.einsum("i,ijk->jk", alpha, tiny_params.concept_tensor)
@@ -386,7 +390,8 @@ class TestComposedMatrix:
         hp, params = mode_params(tiny_params, mode)
         rels = np.array([2, 1, 0, 1])
         for side in ("head", "tail"):
-            act, weights, W = compose(params, hp, side, rels)
+            alpha, act, weights = supports(params, hp, side, rels)
+            W = projections(params, hp, alpha, act, weights)
             assert act.shape == weights.shape == (len(rels), act.shape[1])
             assert len(W) == len(rels)
             for u, r in enumerate(rels):
@@ -401,7 +406,7 @@ class TestComposedMatrix:
                 assert not weights[u, len(nz):].any()
                 assert len(set(act[u].tolist())) == act.shape[1]
         if mode == "sparse":
-            act, weights, _ = compose(params, hp, "head", rels)
+            _, act, weights = supports(params, hp, "head", rels)
             assert act.shape[1] == 2  # c comes from the widest support
             assert weights[1, 1] == 0.0 and weights[1, 0] == 1.0  # one-hot row is padded
 

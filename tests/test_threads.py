@@ -53,8 +53,24 @@ class TestBlasThreads:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert threads.blas_threads() == (cores if expected is None else expected)
+        assert threads.blas_threads() == (threads.usable_cores() if expected is None else expected)
+
+
+class TestUsableCores:
+    def test_counts_the_affinity_set(self, monkeypatch):
+        """A process pinned to one CPU (``taskset -c 0``) has one usable
+        core, whatever the machine's count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for var in threads.BLAS_THREAD_ENV:
+            monkeypatch.delenv(var, raising=False)
+        assert threads.usable_cores() == 1
+        assert threads.blas_threads() == 1
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert threads.usable_cores() == 3
 
 
 class TestMapOrdered:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import _synth
 from conceptkb.bounds import _matrix_norm
-from conceptkb.model import Hyperparams, attention_vector, compose, init_params
+from conceptkb.model import Hyperparams, attention_vector, init_params, projections, supports
+from conceptkb.sampling import DomainSampler
 from conceptkb.training import (
     TrainingError,
     apply_gradients,
@@ -79,12 +82,17 @@ def make_fd_instance(seed, hp, n_entities=9, n_relations=3, batch=5):
     return params, pos, neg
 
 
+def projection(params, hp, side, r):
+    """Relation r's composed ``side`` projection."""
+    return projections(params, hp, *supports(params, hp, side, [r]))[0]
+
+
 def kink_distance(params, hp, pos, neg):
     """Smallest distance to a nondifferentiable point across the batch."""
     shared = hp.model != "transe"
     # p[side][k]: the projected (B, n) rows of one side, positives (k = 0)
     # and corrupted partners (k = 1)
-    p = [[np.stack([compose(params, hp, side, [r])[2][0] @ params.entity_emb[e] if shared
+    p = [[np.stack([projection(params, hp, side, r) @ params.entity_emb[e] if shared
                     else params.entity_emb[e] for e, r in zip(pairs[:, col], pairs[:, 1])])
           for pairs in (pos, neg)] for side, col in (("head", 0), ("tail", 2))]
     u = [p[0][k] + params.relation_emb[pos[:, 1]] - p[1][k] for k in range(2)]
@@ -198,7 +206,7 @@ def reference_gradients(params, hp, pos, neg):
 
     for (h, r, t), (h2, _, t2) in zip(pos.tolist(), neg.tolist()):
         count[r] = count.get(r, 0) + 1
-        W = [compose(params, hp, side, [r])[2][0] if shared else np.eye(params.n)
+        W = [projection(params, hp, side, r) if shared else np.eye(params.n)
              for side in ("head", "tail")]
         x = [(emb[h], emb[h2]), (emb[t], emb[t2])]
         p = [[w @ e for e in pair] for w, pair in zip(W, x)]
@@ -482,7 +490,7 @@ class TestSgdEpoch:
         assert peak < one + concept_bytes // 2
 
     def test_zero_lr_keeps_parameters(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(lr=0.0)
+        hp = dataclasses.replace(tiny_hp, lr=0.0)
         state = make_state(tiny_store, hp, seed=0)
         before = state.params.copy()
         loss = sgd_epoch(state, tiny_store, hp)
@@ -538,7 +546,7 @@ class TestSgdEpoch:
     def test_unscorable_parameters_raise_after_epoch(self, tiny_store, tiny_hp, field):
         """Rows of 1e30 give finite losses, but ranking and block scoring
         cannot take them, so the epoch raises and names the array."""
-        hp = tiny_hp.with_updates(lr=0.0)  # no step renormalizes the entity row
+        hp = dataclasses.replace(tiny_hp, lr=0.0)  # no step renormalizes the entity row
         state = make_state(tiny_store, hp, seed=3)
         getattr(state.params, field)[1] = 1e30
         with pytest.raises(TrainingError, match=f"after epoch 1, {field} has a row of norm"):
@@ -555,7 +563,7 @@ class TestSgdEpoch:
             sgd_epoch(state, store, tiny_hp)
 
     def test_transe_does_not_check_unused_concepts(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(model="transe", m=1, k=1)
+        hp = dataclasses.replace(tiny_hp, model="transe", m=1, k=1)
         state = make_state(tiny_store, hp, seed=3)
         state.params.concept_tensor[:] = np.nan
         assert np.isfinite(sgd_epoch(state, tiny_store, hp))
@@ -593,7 +601,8 @@ class TestSingleMatrixCost:
         from conceptkb.training import _block_pairs
 
         r, side, seed = 0, "head", 42
-        pos, neg = _block_pairs(tiny_store, r, side, tiny_hp, None, seed)
+        sampler = DomainSampler(tiny_store, tiny_hp.domain_lambda)
+        pos, neg = _block_pairs(tiny_store, r, side, tiny_hp, None, seed, sampler)
         expected = 0.0
         for p, n in zip(pos, neg):
             e_pos = single_matrix_energy(side, 2, int(p[0]), r, int(p[2]), tiny_params, tiny_hp)
@@ -605,8 +614,9 @@ class TestSingleMatrixCost:
     def test_budget_subsample_shared_across_concepts(self, tiny_store, tiny_params, tiny_hp):
         from conceptkb.training import _block_pairs
 
-        pos_a, neg_a = _block_pairs(tiny_store, 0, "head", tiny_hp, 2, 7)
-        pos_b, neg_b = _block_pairs(tiny_store, 0, "head", tiny_hp, 2, 7)
+        sampler = DomainSampler(tiny_store, tiny_hp.domain_lambda)
+        pos_a, neg_a = _block_pairs(tiny_store, 0, "head", tiny_hp, 2, 7, sampler)
+        pos_b, neg_b = _block_pairs(tiny_store, 0, "head", tiny_hp, 2, 7, sampler)
         np.testing.assert_array_equal(pos_a, pos_b)
         np.testing.assert_array_equal(neg_a, neg_b)
         assert len(pos_a) == 2
@@ -694,7 +704,7 @@ class TestBlockUpdate:
                 builds.append(1)
                 super().__post_init__()
 
-        hp = tiny_hp.with_updates(sampling_mode="domain", domain_lambda=0.5)
+        hp = dataclasses.replace(tiny_hp, sampling_mode="domain", domain_lambda=0.5)
         state = make_state(tiny_store, hp, seed=6)
         snapshot = state.params.copy()
         monkeypatch.setattr(training, "DomainSampler", Counting)
@@ -734,9 +744,10 @@ class TestBlockUpdate:
         rng = np.random.default_rng(17)
         params.head_scores[:] = rng.normal(size=params.head_scores.shape)
         params.tail_scores[:] = rng.normal(size=params.tail_scores.shape)
+        sampler = DomainSampler(tiny_store, hp.domain_lambda)
         for r in tiny_store.by_relation:
             for side in ("head", "tail"):
-                pairs = len(training._block_pairs(tiny_store, r, side, hp, budget, 31)[0])
+                pairs = len(training._block_pairs(tiny_store, r, side, hp, budget, 31, sampler)[0])
                 # room for two concepts' float32 (pairs, n) blocks, not three
                 monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 4 * pairs * hp.n * 2 + 3)
                 screened, delta, rescore = side_screen(tiny_store, r, side, params, hp, 31)
@@ -941,14 +952,14 @@ class TestBlockScreen:
 
 class TestTrain:
     def test_zero_epochs_returns_init(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(epochs=0)
+        hp = dataclasses.replace(tiny_hp, epochs=0)
         params, history = train(tiny_store, hp, seed=9)
         expected = init_params(tiny_store.n_entities, tiny_store.n_relations, hp, seed=9)
         np.testing.assert_array_equal(params.entity_emb, expected.entity_emb)
         assert history["epochs"] == []
 
     def test_block_stop_zero_freezes_assignments(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(epochs=4, block_stop=0)
+        hp = dataclasses.replace(tiny_hp, epochs=4, block_stop=0)
         init = init_params(tiny_store.n_entities, tiny_store.n_relations, hp, seed=10)
         params, history = train(tiny_store, hp, seed=10)
         np.testing.assert_array_equal(params.head_assign, init.head_assign)
@@ -956,7 +967,7 @@ class TestTrain:
         assert history["block_updates"] == []
 
     def test_deterministic_given_seed(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(epochs=4)
+        hp = dataclasses.replace(tiny_hp, epochs=4)
         a, hist_a = train(tiny_store, hp, seed=11)
         b, hist_b = train(tiny_store, hp, seed=11)
         for field in PARAM_ARRAYS + ("head_assign", "tail_assign"):
@@ -964,7 +975,7 @@ class TestTrain:
         assert [e["loss"] for e in hist_a["epochs"]] == [e["loss"] for e in hist_b["epochs"]]
 
     def test_history_and_block_schedule(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(epochs=6, block_every=2, block_stop=4)
+        hp = dataclasses.replace(tiny_hp, epochs=6, block_every=2, block_stop=4)
         params, history = train(tiny_store, hp, seed=12)
         assert [e["epoch"] for e in history["epochs"]] == [1, 2, 3, 4, 5, 6]
         assert [b["epoch"] for b in history["block_updates"]] == [2, 4]
@@ -973,14 +984,14 @@ class TestTrain:
             assert record["seconds"] > 0
 
     def test_block_every_zero_records_no_updates(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(epochs=3, block_every=0)
+        hp = dataclasses.replace(tiny_hp, epochs=3, block_every=0)
         init = init_params(tiny_store.n_entities, tiny_store.n_relations, hp, seed=12)
         params, history = train(tiny_store, hp, seed=12)
         assert history["block_updates"] == []
         np.testing.assert_array_equal(params.head_assign, init.head_assign)
 
     def test_eval_recorded_and_early_stop(self, tiny_store, tiny_hp):
-        hp = tiny_hp.with_updates(epochs=30, lr=0.0)
+        hp = dataclasses.replace(tiny_hp, epochs=30, lr=0.0)
         params, history = train(tiny_store, hp, seed=13, eval_split=tiny_store.valid,
                                 eval_every=2, early_stop_patience=6)
         assert history["evals"]
