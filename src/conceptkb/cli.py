@@ -33,7 +33,7 @@ from .evaluation import evaluate, load_report, report_json, report_text
 from .export import (ExportError, _write_csv, export_attention, export_bin_comparison,
                      export_frequency, per_relation_csv)
 from .model import (ATTENTION_MODES, MODELS, SAMPLING_MODES, Hyperparams, InitError,
-                    attention_snapshot)
+                    attention_snapshot, check_init)
 from .training import TrainingError, train
 
 ENV_DATA_DIR = "CONCEPTKB_DATA"
@@ -175,12 +175,24 @@ def _default_out(resolved: dict, kind: str) -> Path:
     return Path("runs") / f"{kind}-{resolved['dataset']}-{resolved['model']}-s{resolved['seed']}"
 
 
+def _check_writable(path: Path, directory: bool) -> None:
+    """Refuse, before any ranking, a ``path`` that cannot be made as a
+    directory (``directory``) or written as a file: one that exists as the
+    other kind, or whose nearest existing ancestor is not a directory."""
+    found = next(p for p in (path, *path.absolute().parents) if p.exists())
+    if found == path and path.is_dir() != directory:
+        raise DataError(f"{path} exists and is {'not ' if directory else ''}a directory")
+    if found != path and not found.is_dir():
+        raise DataError(f"{path}: {found} is not a directory")
+
+
 def _run_training(resolved: dict, store: TripleStore, vocab: Vocab, out_dir: Path) -> tuple:
     hp = hyperparams_from(resolved)
     warm = None
     if resolved.get("warm_start"):
         warm, _, warm_meta = load_checkpoint(resolved["warm_start"])
         check_vocab(warm_meta, vocab)
+    check_init(store.n_entities, store.n_relations, hp, warm)  # refused before --out is written
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_file(out_dir / "config.cfg", resolved)
@@ -246,6 +258,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if len(split) == 0:
         raise DataError(f"split {args.split!r} is empty")
     bins = bin_relations(store, args.bins) if args.bins else None
+    out_dir = Path(args.out) if args.out else Path("eval_out")
+    _check_writable(out_dir, directory=True)
+    if args.per_relation_csv:
+        _check_writable(Path(args.per_relation_csv), directory=False)
     try:
         report = evaluate(
             split,
@@ -259,7 +275,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise DataError(f"{args.checkpoint}: {exc}") from None
-    out_dir = Path(args.out) if args.out else Path("eval_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_file(out_dir / "config.cfg", resolved)
     report_json(report, out_dir / "report.json")

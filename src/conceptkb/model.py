@@ -135,13 +135,28 @@ class ModelParams:
 
 def stranse_assignments(n_relations: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint one-hot supports: relation r owns slice 2r (head), 2r+1 (tail)."""
-    if m != 2 * n_relations:
-        raise InitError(f"two-matrix baseline needs m == 2*|R| ({2 * n_relations}), got {m}")
     head = np.zeros((n_relations, m), dtype=np.uint8)
     tail = np.zeros((n_relations, m), dtype=np.uint8)
     head[np.arange(n_relations), 2 * np.arange(n_relations)] = 1
     tail[np.arange(n_relations), 2 * np.arange(n_relations) + 1] = 1
     return head, tail
+
+
+def check_init(n_entities: int, n_relations: int, hp: Hyperparams,
+               warm_start: ModelParams | None = None) -> None:
+    """Raise :class:`InitError` where :func:`init_params` cannot build these
+    shapes: a two-matrix baseline whose m is not 2|R|, or warm-start
+    embeddings of other shapes."""
+    if hp.model == "stranse" and hp.m != 2 * n_relations:
+        raise InitError(f"two-matrix baseline needs m == 2*|R| ({2 * n_relations}), got {hp.m}")
+    n = hp.n
+    if warm_start is not None and (warm_start.entity_emb.shape != (n_entities, n)
+                                   or warm_start.relation_emb.shape != (n_relations, n)):
+        raise InitError(
+            "warm-start shape mismatch: have entities "
+            f"{warm_start.entity_emb.shape}, relations {warm_start.relation_emb.shape}; "
+            f"need ({n_entities}, {n}) and ({n_relations}, {n})"
+        )
 
 
 def init_params(
@@ -165,14 +180,9 @@ def init_params(
     ss = np.random.SeedSequence(seed)
     rng_emb, rng_concept, rng_assign = (np.random.default_rng(c) for c in ss.spawn(3))
 
+    check_init(n_entities, n_relations, hp, warm_start)
     n, m = hp.n, hp.m
     if warm_start is not None:
-        if warm_start.entity_emb.shape != (n_entities, n) or warm_start.relation_emb.shape != (n_relations, n):
-            raise InitError(
-                "warm-start shape mismatch: have entities "
-                f"{warm_start.entity_emb.shape}, relations {warm_start.relation_emb.shape}; "
-                f"need ({n_entities}, {n}) and ({n_relations}, {n})"
-            )
         entity = warm_start.entity_emb.copy()
         relation = warm_start.relation_emb.copy()
     else:

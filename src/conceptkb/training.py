@@ -31,8 +31,11 @@ built.
 
 Block reassignment screens a relation side's concepts in float32, in
 chunks under a byte cap (:data:`BLOCK_CHUNK_BYTES`, L2-sized when BLAS
-runs on one thread), each chunk with one BLAS product per pass over its
-pairs.  A proven bound on each screened cost (:mod:`conceptkb.bounds`)
+runs on one thread).  Where the side's pairs repeat their scored entities
+enough (:data:`BLOCK_GATHER_COST`), each chunk projects the distinct ones
+once, with one BLAS product, and every pair gathers its row from that
+table; elsewhere each pass over the pairs has its own product.  A proven
+bound on each screened cost (:mod:`conceptkb.bounds`)
 rules out every concept that cannot be among the k cheapest; when more
 than k are left, they are re-scored in float64, one concept at a time,
 and the support is the stable bottom-k of those float64 costs.  They
@@ -70,6 +73,14 @@ from .threads import blas_threads, map_ordered
 # n=100.  A multithreaded BLAS hands every GEMM to its threads, so there fewer,
 # larger products are faster: 32 MiB, 167 concepts of 500 pairs
 BLOCK_CHUNK_BYTES = 2**20 if blas_threads() == 1 else 32 * 2**20
+# the cost of gathering one float32 of a projected row, in multiply-adds of the
+# GEMM that projects it.  Projecting a relation side's U distinct scored entities
+# once per chunk and gathering its 2B pair rows from that table saves 2B - U rows
+# of n multiply-adds per float and costs 2B gathers, so the block screen does so
+# while U <= 2B(1 - BLOCK_GATHER_COST / n).  On a Xeon core with 1 BLAS thread,
+# per-side sweeps put the break-even at 16-22 for sides of 500 pairs (n=50 and
+# 100) and lower for smaller ones; 25 keeps every measured side on its faster path
+BLOCK_GATHER_COST = 25
 # byte cap of the composed (n, n) projections, both sides, alive at a time in
 # one SGD window; 4 MiB holds 26 relations at n=100 and all 18 at n=50
 SGD_WINDOW_BYTES = 4 * 2**20
@@ -489,16 +500,24 @@ def _side_costs(
     ``P_tail t - r`` when scoring heads, ``P_head h + r`` when scoring tails
     (the negated difference, with the same norm).
 
-    The screen scores the concepts in chunks of as many as fit a float32
-    (B, c, n) buffer of :data:`BLOCK_CHUNK_BYTES`, which with a
-    single-threaded BLAS is small enough to stay in a core's L2 cache, so
+    The screen scores the concepts in chunks of c.  Each pass (positives,
+    then corrupted pairs) needs its B scored entities projected through a
+    chunk's concepts in a float32 (B, c·n) buffer.  When the side's U
+    distinct scored entities satisfy U <= 2B(1 - :data:`BLOCK_GATHER_COST`
+    / n), one float32 GEMM ``rows @ D[chunk].reshape(c·n, n).T`` projects
+    them into a (U, c·n) table per chunk, and each pass gathers its rows
+    from it with ``np.take(..., mode="clip")``, which writes into the
+    buffer directly (``mode="raise"`` copies through a temporary).
+    Otherwise each pass projects its own B rows with one such GEMM.  The
+    pass then subtracts the offset and reduces over n into its (B, m)
+    energies; the hinges and their sum are formed in float64.  c is as
+    many concepts as fit table and buffer in :data:`BLOCK_CHUNK_BYTES`,
+    which with a single-threaded BLAS stays in a core's L2 cache, so
     memory does not grow with the number of pairs B when ``block_budget``
-    is None.  The chunk width can move the screened bits, but not past
-    ``delta``, which holds for any summation order.  Each pass (positives,
-    then corrupted pairs) projects its B entities through a chunk's c
-    concepts as one float32 GEMM ``e @ D[chunk].reshape(c·n, n).T`` into
-    that buffer, subtracts the offset and reduces over n into the pass's
-    (B, m) energies; the hinges and their sum are formed in float64.
+    is None.  A gathered row holds the bits the GEMM gave its entity, so
+    every screened energy is still one float32 product, offset and
+    reduction: the path and the chunk width can move the screened bits,
+    but not past ``delta``, which holds for any summation order.
 
     The bound: by :func:`_error_bound`, each screened energy is within
     δ_b = _error_bound(n, ‖|D_i|‖, ‖e_b‖, ‖offset_b‖) of its float64
@@ -536,18 +555,28 @@ def _side_costs(
         raise TrainingError(f"relation {r} {side}: a concept, entity row or offset is not finite "
                             "or too large to score")
 
-    chunk = min(m, max(1, BLOCK_CHUNK_BYTES // (4 * B * n)))
-    flat = np.empty(B * chunk * n, dtype=np.float32)
+    scored = np.concatenate([pos[:, var], neg[:, var]])
+    distinct, inverse = np.unique(scored, return_inverse=True)
+    # U table rows; 0 when each pass projects its own rows
+    U = len(distinct) if len(distinct) <= 2 * B * (1 - BLOCK_GATHER_COST / n) else 0
+    rows32 = ent[distinct if U else scored].astype(np.float32)
+    offsets32 = [offset.astype(np.float32)[:, None] for _, offset in passes]
+    chunk = min(m, max(1, BLOCK_CHUNK_BYTES // (4 * (B + U) * n)))
+    flat = np.empty((B + U) * chunk * n, dtype=np.float32)
     energies = np.empty((2, B, m), dtype=np.float32)
-    for k, (e, offset) in enumerate(passes):
-        e32 = e.astype(np.float32)
-        offset32 = offset.astype(np.float32)[:, None]
-        for lo in range(0, m, chunk):
-            c = min(chunk, m - lo)
-            buf = flat[: B * c * n].reshape(B, c * n)
-            np.matmul(e32, concepts32[lo:lo + c].reshape(c * n, n).T, out=buf)
+    for lo in range(0, m, chunk):
+        c = min(chunk, m - lo)
+        planes = concepts32[lo:lo + c].reshape(c * n, n).T
+        buf = flat[: B * c * n].reshape(B, c * n)
+        if U:
+            table = np.matmul(rows32, planes, out=flat[B * c * n:(B + U) * c * n].reshape(U, c * n))
+        for k in range(2):
+            if U:
+                np.take(table, inverse[k * B:(k + 1) * B], axis=0, out=buf, mode="clip")
+            else:
+                np.matmul(rows32[k * B:(k + 1) * B], planes, out=buf)
             u = buf.reshape(B, c, n)
-            u -= offset32
+            u -= offsets32[k]
             # einsum sums over n in one pass, 2x faster than sum() here
             out = energies[k, :, lo:lo + c]
             if hp.ell == 1:

@@ -533,33 +533,42 @@ class TestBadInputFiles:
         assert not (tmp_path / "bins.csv").exists()
 
     def test_stranse_with_wrong_m_is_usage_error(self, data_dir, tmp_path, capsys):
+        """``--m 4`` on the 5-relation KB is refused before ``--out`` is made."""
         err = assert_one_line_exit(["train", "--data-dir", str(data_dir), "--out",
                                     str(tmp_path / "run"), *TRAIN_ARGS, "--model", "stranse"],
                                    EXIT_USAGE, capsys)
         assert err.startswith("error: ") and "m == 2*|R|" in err
+        assert not (tmp_path / "run").exists()
 
     def test_warm_start_with_other_n_is_usage_error(self, data_dir, trained, tmp_path, capsys):
         err = assert_one_line_exit(["train", "--data-dir", str(data_dir), "--out",
                                     str(tmp_path / "run"), *TRAIN_ARGS, "--n", "7",
                                     "--warm-start", str(trained)], EXIT_USAGE, capsys)
         assert err.startswith("error: warm-start shape mismatch")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_out_naming_a_file_is_data_error(self, data_dir, trained, tmp_path, capsys, command):
+    def test_out_naming_a_file_is_data_error(self, data_dir, trained, tmp_path, capsys, command,
+                                             evaluate_workers):
+        """``eval`` refuses the path before it ranks anything."""
         out = tmp_path / "taken"
         out.write_text("", encoding="utf-8")
         argv = ([*TRAIN_ARGS] if command == "train" else ["--checkpoint", str(trained)])
         err = assert_one_line_exit([command, "--data-dir", str(data_dir), "--out", str(out), *argv],
                                    EXIT_DATA, capsys)
         assert str(out) in err
+        assert evaluate_workers == []
 
-    def test_per_relation_csv_under_a_file_is_data_error(self, data_dir, trained, tmp_path, capsys):
+    def test_per_relation_csv_under_a_file_is_data_error(self, data_dir, trained, tmp_path, capsys,
+                                                          evaluate_workers):
         (tmp_path / "x").write_text("", encoding="utf-8")
         err = assert_one_line_exit(["eval", "--checkpoint", str(trained), "--data-dir", str(data_dir),
                                     "--out", str(tmp_path / "eval"),
                                     "--per-relation-csv", str(tmp_path / "x" / "y.csv")],
                                    EXIT_DATA, capsys)
         assert str(tmp_path / "x" / "y.csv") in err
+        assert evaluate_workers == []
+        assert not (tmp_path / "eval").exists()
 
     def test_negative_eval_bins_is_usage_error(self, data_dir, trained, tmp_path, capsys):
         err = assert_one_line_exit(["eval", "--checkpoint", str(trained), "--data-dir", str(data_dir),

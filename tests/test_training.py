@@ -728,15 +728,20 @@ class TestBlockUpdate:
             assert np.nonzero(state.params.head_assign[r])[0].tolist() == [0, 1]
             assert np.nonzero(state.params.tail_assign[r])[0].tolist() == [0, 1]
 
-    @pytest.mark.parametrize("budget", [None, 2])
-    @pytest.mark.parametrize("sampling", ["uniform", "bernoulli", "domain"])
-    @pytest.mark.parametrize("ell", [1, 2])
-    def test_chunked_costs_match_scalar_oracle(self, monkeypatch, tiny_store, ell, sampling, budget):
+    @pytest.mark.parametrize("ell, sampling, budget, gather_cost", [
+        pytest.param(ell, sampling, budget, cost, id=f"{ell}-{sampling}-{budget}{suffix}")
+        for ell in (1, 2) for sampling in ("uniform", "bernoulli", "domain") for budget in (None, 2)
+        for cost, suffix in ((np.inf, ""), (0, "-table"))])
+    def test_chunked_costs_match_scalar_oracle(self, monkeypatch, tiny_store, ell, sampling, budget,
+                                               gather_cost):
         """Every concept's float32 screen is within its bound of the float64
         re-score, and the re-score equals the scalar cost to 1e-12, with m = 5
-        split into concept chunks of 2, 2 and 1."""
+        split into concept chunks of 2, 2 and 1, on both screen paths: each
+        pass projecting its own rows, or a table of the side's distinct
+        entities gathered per pass."""
         import conceptkb.training as training
 
+        monkeypatch.setattr(training, "BLOCK_GATHER_COST", gather_cost)
         hp = Hyperparams(n=5, m=5, k=2, gamma=1.0, tau=0.5, ell=ell, epochs=1,
                          init_noise_sd=0.3, sampling_mode=sampling, domain_lambda=0.5,
                          block_budget=budget)
@@ -747,9 +752,11 @@ class TestBlockUpdate:
         sampler = DomainSampler(tiny_store, hp.domain_lambda)
         for r in tiny_store.by_relation:
             for side in ("head", "tail"):
-                pairs = len(training._block_pairs(tiny_store, r, side, hp, budget, 31, sampler)[0])
-                # room for two concepts' float32 (pairs, n) blocks, not three
-                monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 4 * pairs * hp.n * 2 + 3)
+                pos, neg = training._block_pairs(tiny_store, r, side, hp, budget, 31, sampler)
+                var = 0 if side == "head" else 2
+                table = len(np.unique(np.r_[pos[:, var], neg[:, var]])) if gather_cost == 0 else 0
+                # room for two concepts' float32 (pairs + table, n) blocks, not three
+                monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 4 * (len(pos) + table) * hp.n * 2 + 3)
                 screened, delta, rescore = side_screen(tiny_store, r, side, params, hp, 31)
                 got = rescore(np.arange(hp.m))
                 assert (np.abs(screened - got) <= delta).all()
@@ -827,26 +834,56 @@ class TestBlockWorkers:
 class TestBlockScreen:
     """The float32 screen of block scoring and the float64 decision."""
 
-    @pytest.mark.parametrize("sampling", ["uniform", "bernoulli", "domain"])
-    @pytest.mark.parametrize("ell", [1, 2])
-    def test_screen_within_bound(self, ell, sampling):
+    @pytest.mark.parametrize("ell, sampling, entities, path", [
+        pytest.param(ell, sampling, entities, path,
+                     id=f"{ell}-{sampling}{'-repeating' if entities == 16 else ''}"
+                        f"{'' if path == 'per-pass' else '-' + path}")
+        for ell in (1, 2) for sampling in ("uniform", "bernoulli", "domain")
+        for entities in (80, 16) for path in ("per-pass", "table", "rule")])
+    def test_screen_within_bound(self, monkeypatch, ell, sampling, entities, path):
         """Each screened cost is within its bound of the float64 re-score,
-        and the support is the stable bottom-k of the re-scored costs."""
-        store = _synth.structured_kb(4, n_entities=80, n_relations=4, per_rel=100, dim=6)
+        and the support is the stable bottom-k of the re-scored costs, with
+        every side's m = 9 split into chunks of one to five concepts.
+
+        ``path`` forces every side to project each pass's own rows, or to
+        gather them from a table of its distinct scored entities, or sets
+        the gather cost to n/2, so that the rule tables a side whose
+        distinct entities are at most half its 2B pair rows.  On 16 entities
+        they are 10-41% of each side's rows, on 80 entities 28-63%, so there
+        the rule takes both paths."""
+        import conceptkb.training as training
+
+        monkeypatch.setattr(training, "BLOCK_CHUNK_BYTES", 2**12)
+        cost = {"per-pass": np.inf, "table": 0, "rule": 6}[path]
+        monkeypatch.setattr(training, "BLOCK_GATHER_COST", cost)
+        gathers = []
+        take = np.take
+
+        def spy(*args, **kw):
+            gathers.append(kw.get("mode") == "clip")
+            return take(*args, **kw)
+
+        monkeypatch.setattr(np, "take", spy)
+        store = _synth.structured_kb(4, n_entities=entities, n_relations=4, per_rel=100, dim=6)
         hp = Hyperparams(n=12, m=9, k=2, gamma=1.0, ell=ell, epochs=1, init_noise_sd=0.5,
                          sampling_mode=sampling, domain_lambda=0.5, block_budget=None)
         params = make_state(store, hp, seed=2).params
         params.entity_emb *= 3.0  # the bound takes the real row norms
         snapshot = params.copy()
         block_update(params, store, hp, seed=5)
+        tabled = set()
         for r in store.by_relation:
             for side, assign in (("head", params.head_assign), ("tail", params.tail_assign)):
+                gathers.clear()
                 screened, delta, rescore = side_screen(store, r, side, snapshot, hp, 5)
+                tabled.add(any(gathers))
                 costs = rescore(np.arange(hp.m))
                 assert (np.abs(screened - costs) <= delta).all()
                 assert (delta < 1e-3 * costs.max()).all()
                 expected = np.sort(np.argsort(costs, kind="stable")[: hp.k])
                 np.testing.assert_array_equal(np.flatnonzero(assign[r]), expected)
+        want = {"per-pass": {False}, "table": {True}}.get(path, {True} if entities == 16 else {False, True})
+        assert tabled == want
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_band_of_k_is_not_rescored(self, rescored, ell):
