@@ -21,8 +21,7 @@ _EXPORTS = {
         "data"),
     **dict.fromkeys(("CheckpointError", "load_checkpoint", "save_checkpoint"), "checkpoint"),
     **dict.fromkeys(("EvalReport", "evaluate"), "evaluation"),
-    **dict.fromkeys(("AttentionSnapshot", "Hyperparams", "ModelParams", "attention_snapshot",
-                     "init_params"), "model"),
+    **dict.fromkeys(("Hyperparams", "ModelParams", "init_params"), "model"),
     **dict.fromkeys(("DomainSampler", "corrupt_batch", "domain_probability"), "sampling"),
     **dict.fromkeys(("TrainingError", "TrainState", "block_update", "make_state", "sgd_epoch",
                      "single_matrix_cost", "train"), "training"),

@@ -32,8 +32,8 @@ from .data import DataError, TripleStore, Vocab, bin_relations, load_dataset
 from .evaluation import evaluate, load_report, report_json, report_text
 from .export import (ExportError, _write_csv, export_attention, export_bin_comparison,
                      export_frequency, per_relation_csv)
-from .model import (ATTENTION_MODES, MODELS, SAMPLING_MODES, Hyperparams, InitError,
-                    attention_snapshot, check_init)
+from .model import (ATTENTION_MODES, MODELS, SAMPLING_MODES, SIDE_HEAD, SIDE_TAIL, Hyperparams,
+                    InitError, attention, check_init)
 from .training import TrainingError, train
 
 ENV_DATA_DIR = "CONCEPTKB_DATA"
@@ -64,12 +64,10 @@ _BASE_DEFAULTS = {
     "workers": 0,
 }
 
-_INT_KEYS = {
-    "n", "m", "k", "ell", "batch_size", "epochs", "block_every", "block_stop",
-    "block_budget", "seed", "eval_every", "early_stop_patience",
-    "checkpoint_every", "workers",
-}
-_FLOAT_KEYS = {"gamma", "tau", "lr", "init_noise_sd", "domain_lambda", "l1_coef", "proj_penalty"}
+# the options that may be empty (None), with their types; every other
+# option takes the type of its default
+_NULLABLE = {"block_stop": int, "block_budget": int, "data_dir": str, "out": str,
+             "warm_start": str}
 
 
 class UsageError(Exception):
@@ -77,19 +75,17 @@ class UsageError(Exception):
 
 
 def _coerce(key: str, value):
-    if value is None or value == "":
-        return None
-    if isinstance(value, str) and value.lower() == "none":
-        return None
-    if key in _INT_KEYS:
-        kind, want = int, "an integer"
-    elif key in _FLOAT_KEYS:
-        kind, want = float, "a number"
-    else:
-        return value
+    """``value`` in the type of ``key``; ``none`` or an empty value is None
+    for the keys of ``_NULLABLE`` and refused for every other key."""
+    if isinstance(value, str) and value.lower() in ("", "none"):
+        if key in _NULLABLE:
+            return None
+        raise UsageError(f"{key} needs a value, got {value!r}")
+    kind = _NULLABLE.get(key) or type(_BASE_DEFAULTS[key])
     try:
         return kind(value)
     except ValueError:
+        want = "an integer" if kind is int else "a number"
         raise UsageError(f"{key} must be {want}, got {value!r}") from None
 
 
@@ -140,8 +136,9 @@ def resolve_options(args: argparse.Namespace) -> dict:
             resolved[key] = _coerce(key, flag_value)
     if getattr(args, "no_early_stop", False):
         resolved["early_stop_patience"] = 0
-    if (resolved["workers"] or 0) < 0:
-        raise UsageError(f"workers must be at least 0, got {resolved['workers']}")
+    for key in ("seed", "workers", "eval_every", "early_stop_patience", "checkpoint_every"):
+        if resolved[key] < 0:
+            raise UsageError(f"{key} must be at least 0, got {resolved[key]}")
     if resolved["data_dir"] is None:
         env = os.environ.get(ENV_DATA_DIR)
         if env:
@@ -161,14 +158,10 @@ def _workers(resolved: dict) -> int:
     return resolved["workers"] or usable_cores()
 
 
-def _require_data_dir(resolved: dict) -> Path:
-    if not resolved.get("data_dir"):
-        raise UsageError(f"no data directory given (use --data-dir or ${ENV_DATA_DIR})")
-    return Path(resolved["data_dir"])
-
-
 def _load_store(resolved: dict) -> tuple[TripleStore, Vocab]:
-    return load_dataset(_require_data_dir(resolved))
+    if not resolved["data_dir"]:
+        raise UsageError(f"no data directory given (use --data-dir or ${ENV_DATA_DIR})")
+    return load_dataset(resolved["data_dir"])
 
 
 def _default_out(resolved: dict, kind: str) -> Path:
@@ -189,7 +182,7 @@ def _check_writable(path: Path, directory: bool) -> None:
 def _run_training(resolved: dict, store: TripleStore, vocab: Vocab, out_dir: Path) -> tuple:
     hp = hyperparams_from(resolved)
     warm = None
-    if resolved.get("warm_start"):
+    if resolved["warm_start"]:
         warm, _, warm_meta = load_checkpoint(resolved["warm_start"])
         check_vocab(warm_meta, vocab)
     check_init(store.n_entities, store.n_relations, hp, warm)  # refused before --out is written
@@ -208,7 +201,6 @@ def _run_training(resolved: dict, store: TripleStore, vocab: Vocab, out_dir: Pat
     def on_epoch(state, epoch, loss):
         if cadence and epoch % cadence == 0:
             save_checkpoint(out_dir / f"checkpoint_epoch{epoch}.npz", state.params, hp, vocab)
-        return False
 
     try:
         params, history = train(
@@ -286,14 +278,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-SWEEP_AXES = ("lambda", "m", "mode")
+# sweep axis -> the option it sets
+SWEEP_AXES = {"lambda": "domain_lambda", "m": "m", "mode": "attention_mode"}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = resolve_options(args)
-    if args.axis not in SWEEP_AXES:
-        raise UsageError(f"unknown sweep axis {args.axis!r}; use one of {SWEEP_AXES}")
-    values = [v for v in (args.values or "").split(",") if v]
+    values = [v for v in args.values.split(",") if v]
     if not values:
         raise UsageError("--values must list at least one value")
     store, vocab = _load_store(resolved)
@@ -303,43 +294,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     for raw_value in values:
-        run = dict(resolved)
-        if args.axis == "lambda":
-            run["domain_lambda"] = float(raw_value)
-            run["sampling_mode"] = "domain"
-        elif args.axis == "m":
-            run["m"] = int(raw_value)
-        else:
-            run["attention_mode"] = raw_value
         run_dir = out_dir / f"{args.axis}_{raw_value}"
-        run["out"] = str(run_dir)
+        run = dict(resolved, out=str(run_dir))
+        if args.axis == "lambda":
+            run["sampling_mode"] = "domain"
         try:
+            run[SWEEP_AXES[args.axis]] = _coerce(SWEEP_AXES[args.axis], raw_value)
             params, hp, history = _run_training(run, store, vocab, run_dir)
             split = store.test if len(store.test) else store.valid
             report = evaluate(split, params, hp, store, workers=_workers(run))
+            seconds = [e["seconds"] for e in history["epochs"]]
             row = {
                 "value": raw_value,
                 "mean_rank": report.mean_rank,
                 "hits_at_10": report.hits_at_10,
+                "epoch_seconds": float(np.mean(seconds)) if seconds else 0.0,
                 "error": "",
             }
-            if args.axis == "mode":
-                epochs = history["epochs"]
-                row["epoch_seconds"] = (
-                    float(np.mean([e["seconds"] for e in epochs])) if epochs else 0.0
-                )
             report_json(report, run_dir / "report.json")
         except (UsageError, DataError, CheckpointError, TrainingError, ValueError) as exc:
-            row = {"value": raw_value, "mean_rank": "", "hits_at_10": "", "error": str(exc)}
-            if args.axis == "mode":
-                row["epoch_seconds"] = ""
+            row = {"value": raw_value, "error": str(exc)}
         rows.append(row)
-        print(f"sweep {args.axis}={raw_value}: {row.get('error') or 'ok'}")
+        print(f"sweep {args.axis}={raw_value}: {row['error'] or 'ok'}")
 
-    header = ["value", "mean_rank", "hits_at_10"]
-    if args.axis == "mode":
-        header.append("epoch_seconds")
-    header.append("error")
+    # epoch times are only compared across attention modes
+    header = ["value", "mean_rank", "hits_at_10",
+              *(["epoch_seconds"] if args.axis == "mode" else []), "error"]
     sweep_path = out_dir / "sweep.csv"
     _write_csv(sweep_path, header, [[row.get(k, "") for k in header] for row in rows])
     print(f"sweep table written to {sweep_path}")
@@ -348,25 +328,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     resolved = resolve_options(args)
+    out = Path(args.out or f"{args.what}.csv")
     if args.what == "attention":
         if not args.checkpoint:
             raise UsageError("export attention needs --checkpoint")
         params, hp, meta = load_checkpoint(args.checkpoint)
         store, vocab = _load_store(resolved)
         check_vocab(meta, vocab)
-        snapshot = attention_snapshot(params, hp)
         relations = args.relations.split(",") if args.relations else None
-        out = Path(args.out) if args.out else Path("attention.csv")
-        export_attention(snapshot, vocab, out, relations)
+        export_attention(attention(params, hp, SIDE_HEAD), attention(params, hp, SIDE_TAIL),
+                         vocab, out, relations)
         print(f"attention export written to {out}")
-        return EXIT_OK
-    if args.what == "frequency":
+    elif args.what == "frequency":
         store, vocab = _load_store(resolved)
-        out = Path(args.out) if args.out else Path("frequency.csv")
         export_frequency(store, out, vocab)
         print(f"frequency export written to {out}")
-        return EXIT_OK
-    if args.what == "bins":
+    else:
         if not args.reports:
             raise UsageError("export bins needs at least one --report name=path from eval runs")
         if args.bins < 1:
@@ -381,11 +358,9 @@ def cmd_export(args: argparse.Namespace) -> int:
             if not Path(rpath).exists():
                 raise DataError(f"report file not found: {rpath}")
             reports[name] = load_report(rpath)
-        out = Path(args.out) if args.out else Path("bins.csv")
         export_bin_comparison(reports, bins, out)
         print(f"bin comparison written to {out}")
-        return EXIT_OK
-    raise UsageError(f"unknown export kind {args.what!r}")
+    return EXIT_OK
 
 
 def _add_common_options(p: argparse.ArgumentParser) -> None:

@@ -13,9 +13,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .data import FrequencyBins, TripleStore, Vocab
 from .evaluation import EvalReport, bin_hits
-from .model import AttentionSnapshot
 
 
 class ExportError(ValueError):
@@ -39,19 +40,21 @@ def _write_json_mirror(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def export_attention(
-    snapshot: AttentionSnapshot,
+    head: np.ndarray,
+    tail: np.ndarray,
     vocab: Vocab,
     path: str | Path,
     relations: list[str] | None = None,
 ) -> Path:
-    """One row per (relation, side) with the m attention weights.
+    """One row per (relation, side) with the m attention weights, taken
+    from the (|R|, m) rows ``head`` and ``tail`` of :func:`model.attention`.
 
     ``relations`` optionally restricts the export to the named relations;
     an unknown name raises with the list of valid ones.
     """
     path = Path(path)
     if relations is None:
-        rel_ids = list(range(snapshot.n_relations))
+        rel_ids = list(range(len(head)))
     else:
         rel_ids = []
         for name in relations:
@@ -59,12 +62,12 @@ def export_attention(
                 valid = ", ".join(vocab.relation_names)
                 raise ExportError(f"unknown relation {name!r}; valid relations: {valid}")
             rel_ids.append(vocab.relation_index[name])
-    header = ["relation_side"] + [f"c{i}" for i in range(snapshot.m)]
+    header = ["relation_side"] + [f"c{i}" for i in range(head.shape[1])]
     rows = []
     for r in rel_ids:
         name = vocab.relation_names[r]
-        rows.append([f"{name}(H)"] + [_fmt(w) for w in snapshot.head[r]])
-        rows.append([f"{name}(T)"] + [_fmt(w) for w in snapshot.tail[r]])
+        rows.append([f"{name}(H)"] + [_fmt(w) for w in head[r]])
+        rows.append([f"{name}(T)"] + [_fmt(w) for w in tail[r]])
     _write_csv(path, header, rows)
     _write_json_mirror(path, header, rows)
     return path

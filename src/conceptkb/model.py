@@ -12,6 +12,7 @@ and identity slices recover plain translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -36,7 +37,8 @@ class Hyperparams:
     :meth:`effective_block_stop`.  ``block_budget`` caps the number of
     training triples sampled per relation when scoring single-concept
     costs; None means no cap.  ``n``, ``batch_size`` and an integer
-    ``block_budget`` must be at least 1.
+    ``block_budget`` must be at least 1, ``epochs``, ``block_every`` and an
+    integer ``block_stop`` at least 0, and every float finite.
     """
 
     n: int = 50
@@ -61,10 +63,15 @@ class Hyperparams:
     block_budget: Optional[int] = 500
 
     def __post_init__(self):
-        for name in ("n", "batch_size", "block_budget"):
+        for name, low in (("n", 1), ("batch_size", 1), ("block_budget", 1),
+                          ("epochs", 0), ("block_every", 0), ("block_stop", 0)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        for name in ("gamma", "tau", "lr", "init_noise_sd", "domain_lambda", "l1_coef",
+                     "proj_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (1 <= self.k <= self.m):
             raise ValueError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if self.tau <= 0:
@@ -367,26 +374,3 @@ def single_matrix_energy(
         ph = project(alpha_h, params.concept_tensor, params.entity_emb[h])
         pt = params.concept_tensor[i] @ params.entity_emb[t]
     return vec_norm(ph + params.relation_emb[r] - pt, hp.ell)
-
-
-@dataclass
-class AttentionSnapshot:
-    """Per-relation head/tail attention rows, (|R|, m) each."""
-
-    head: np.ndarray
-    tail: np.ndarray
-
-    @property
-    def n_relations(self) -> int:
-        return self.head.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.head.shape[1]
-
-
-def attention_snapshot(params: ModelParams, hp: Hyperparams) -> AttentionSnapshot:
-    """Collect every relation's attention vectors under the current mode."""
-    return AttentionSnapshot(
-        head=attention(params, hp, SIDE_HEAD), tail=attention(params, hp, SIDE_TAIL)
-    )

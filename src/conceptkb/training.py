@@ -677,7 +677,7 @@ def train(
     sparse-attention shared-concept model).  Optional validation metrics
     are recorded every ``eval_every`` epochs; with ``early_stop_patience``
     > 0 training stops once hits@10 has not improved for that many epochs.
-    ``on_epoch(state, epoch, loss)`` may return True to stop early.
+    ``on_epoch(state, epoch, loss)``, if given, runs at the end of every epoch.
     ``workers`` is the thread count of validation and of block updates.
     Each block update's record holds its wall time in ``seconds``.
     Parameters that ranking or block scoring cannot take raise
@@ -731,7 +731,6 @@ def train(
                     log_fn(f"early stop at epoch {epoch} (best hits@10 at {best_epoch})")
                 break
 
-        if on_epoch and on_epoch(state, epoch, loss):
-            history["stopped_epoch"] = epoch
-            break
+        if on_epoch:
+            on_epoch(state, epoch, loss)
     return state.params, history

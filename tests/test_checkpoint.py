@@ -118,7 +118,8 @@ def test_failed_save_keeps_previous_file(saved, monkeypatch):
     lambda arrays, meta: meta["hyperparams"].update(k=7),
     lambda arrays, meta: meta["hyperparams"].update(bogus=1),
     lambda arrays, meta: meta.update(hyperparams=[1, 2]),
-], ids=["missing", "invalid", "unknown-key", "not-a-dict"])
+    lambda arrays, meta: meta["hyperparams"].update(gamma=float("nan")),
+], ids=["missing", "invalid", "unknown-key", "not-a-dict", "non-finite"])
 def test_bad_metadata_rejected(saved, edit):
     _rewrite(saved, edit)
     with pytest.raises(CheckpointError, match="hyperparameters"):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -7,8 +8,10 @@ import pytest
 
 import _synth
 from conceptkb.checkpoint import load_checkpoint
-from conceptkb.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main, read_config_file
+from conceptkb.cli import (_BASE_DEFAULTS, _NULLABLE, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
+                           build_parser, main, read_config_file)
 from conceptkb.data import Vocab
+from conceptkb.evaluation import EvalReport
 from conceptkb.model import Hyperparams
 
 
@@ -39,6 +42,12 @@ def assert_one_line_exit(argv, code, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     return err
+
+
+def train_flag(dest):
+    """The ``train`` flag that sets ``dest``."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return next(a.option_strings[0] for a in sub.choices["train"]._actions if a.dest == dest)
 
 
 @pytest.fixture
@@ -217,6 +226,78 @@ class TestTrainCommand:
         np.testing.assert_array_equal(warm.entity_emb, expected)
 
 
+class TestRunOptions:
+    """Epoch checkpoints, early stopping and the default output directory."""
+
+    def test_checkpoint_every_writes_epoch_checkpoints(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--data-dir", str(data_dir), "--out", str(out), *TRAIN_ARGS,
+                     "--epochs", "4", "--checkpoint-every", "2"]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("checkpoint_epoch*.npz")) == [
+            "checkpoint_epoch2.npz", "checkpoint_epoch4.npz"]
+        last, _, _ = load_checkpoint(out / "checkpoint_epoch4.npz")
+        final, _, _ = load_checkpoint(out / "checkpoint.npz")
+        for field in dataclasses.fields(final):
+            np.testing.assert_array_equal(getattr(last, field.name), getattr(final, field.name))
+
+    @pytest.mark.parametrize("no_early_stop", [False, True])
+    def test_early_stop(self, data_dir, tmp_path, monkeypatch, no_early_stop):
+        """Validation that never beats its first hits@10 stops a patience-1
+        run at epoch 2, unless ``--no-early-stop`` is given."""
+        import conceptkb.training as training
+
+        flat = EvalReport(5.0, 50.0, {}, None, "both", 1)
+        monkeypatch.setattr(training, "evaluate", lambda *args, **kw: flat)
+        out = tmp_path / "run"
+        argv = ["train", "--data-dir", str(data_dir), "--out", str(out), *TRAIN_ARGS,
+                "--epochs", "4", "--eval-every", "1", "--early-stop-patience", "1"]
+        assert main(argv + ["--no-early-stop"] * no_early_stop) == EXIT_OK
+        history = json.loads((out / "history.json").read_text())
+        log = (out / "train.log").read_text().splitlines()
+        if no_early_stop:
+            assert history["stopped_epoch"] is None and len(history["epochs"]) == 4
+            assert not [line for line in log if line.startswith("early stop")]
+        else:
+            assert history["stopped_epoch"] == 2 and len(history["epochs"]) == 2
+            assert log[-1] == "early stop at epoch 2 (best hits@10 at 1)"
+
+    def test_default_out_directory(self, data_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--data-dir", str(data_dir), *TRAIN_ARGS, "--epochs", "0"]) == EXIT_OK
+        out = os.path.join("runs", "train-custom-itransf-s7")
+        assert capsys.readouterr().out == f"checkpoint written to {os.path.join(out, 'checkpoint.npz')}\n"
+        assert (tmp_path / out / "checkpoint.npz").exists()
+        assert read_config_file(tmp_path / out / "config.cfg")["out"] == out
+
+
+class TestBadValues:
+    """Values that parse but that no run can use exit 2 with one line."""
+
+    def refuse(self, key, value, form, tmp_path, capsys):
+        if form == "flag":
+            argv = [train_flag(key), value]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        return assert_one_line_exit(["train", "--dry-run", *argv], EXIT_USAGE, capsys)
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["gamma", "tau", "lr", "init_noise_sd", "domain_lambda",
+                                     "l1_coef", "proj_penalty"])
+    def test_non_finite_float(self, tmp_path, capsys, key, value, form):
+        err = self.refuse(key, value, form, tmp_path, capsys)
+        assert err == f"error: {key} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("key", ["epochs", "block_every", "block_stop", "seed", "eval_every",
+                                     "early_stop_patience", "checkpoint_every"])
+    def test_negative_value(self, tmp_path, capsys, key, form):
+        err = self.refuse(key, "-1", form, tmp_path, capsys)
+        assert err == f"error: {key} must be at least 0, got -1\n"
+
+
 @pytest.fixture(scope="module")
 def trained(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -343,6 +424,15 @@ class TestSweepCommand:
         assert lines[1].split(",")[-1] != ""   # error recorded
         assert lines[2].split(",")[-1] == ""   # second run clean
 
+    @pytest.mark.parametrize("axis,want", [("m", "an integer"), ("lambda", "a number")])
+    def test_non_numeric_value_recorded(self, data_dir, tmp_path, axis, want):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--axis", axis, "--values", "abc", "--data-dir", str(data_dir),
+                     "--out", str(out), *TRAIN_ARGS, "--epochs", "1"]) == EXIT_OK
+        key = "m" if axis == "m" else "domain_lambda"
+        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
+        assert rows[1:] == [["abc", "", "", f"{key} must be {want}, got 'abc'"]]
+
     def test_empty_values_usage_error(self, data_dir):
         assert main(["sweep", "--axis", "m", "--values", "",
                      "--data-dir", str(data_dir)]) == EXIT_USAGE
@@ -413,6 +503,20 @@ class TestConfigFile:
         cfg.write_text("block_budget=\n", encoding="utf-8")
         assert main(["train", "--config", str(cfg), "--dry-run"]) == EXIT_OK
         assert "block_budget=\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["none", ""])
+    @pytest.mark.parametrize("key", sorted(_BASE_DEFAULTS.keys() - _NULLABLE.keys()))
+    def test_empty_value_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        err = assert_one_line_exit(["train", "--config", str(cfg), "--dry-run"], EXIT_USAGE, capsys)
+        assert err == f"error: {key} needs a value, got {value!r}\n"
+
+    @pytest.mark.parametrize("key", sorted(_NULLABLE))
+    def test_nullable_key_may_be_empty(self, tmp_path, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}=none\n", encoding="utf-8")
+        assert read_config_file(cfg) == {key: None}
 
     def test_non_numeric_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -11,7 +11,12 @@ from conceptkb.export import (
     export_bin_comparison,
     export_frequency,
 )
-from conceptkb.model import Hyperparams, attention_snapshot, init_params
+from conceptkb.model import SIDE_HEAD, SIDE_TAIL, Hyperparams, attention, init_params
+
+
+def head_tail(params, hp):
+    """The head and tail attention rows of every relation."""
+    return attention(params, hp, SIDE_HEAD), attention(params, hp, SIDE_TAIL)
 
 
 @pytest.fixture
@@ -28,8 +33,8 @@ class TestExportAttention:
     def test_k1_rows_are_one_hot(self, tmp_path, vocab3):
         hp = Hyperparams(n=4, m=5, k=1, epochs=1)
         params = init_params(7, 3, hp, seed=0)
-        snap = attention_snapshot(params, hp)
-        out = export_attention(snap, vocab3, tmp_path / "att.csv")
+        snap = head_tail(params, hp)
+        out = export_attention(*snap, vocab3, tmp_path / "att.csv")
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "relation_side," + ",".join(f"c{i}" for i in range(5))
         assert len(lines) == 1 + 2 * 3
@@ -42,8 +47,8 @@ class TestExportAttention:
         params = init_params(7, 3, hp, seed=1)
         params.tail_scores[:] = params.head_scores
         params.tail_assign[:] = params.head_assign
-        snap = attention_snapshot(params, hp)
-        out = export_attention(snap, vocab3, tmp_path / "att.csv")
+        snap = head_tail(params, hp)
+        out = export_attention(*snap, vocab3, tmp_path / "att.csv")
         lines = out.read_text().strip().splitlines()[1:]
         rows = {line.split(",")[0]: line.split(",")[1:] for line in lines}
         for name in vocab3.relation_names:
@@ -54,8 +59,8 @@ class TestExportAttention:
         params = init_params(7, 3, hp, seed=2)
         params.head_scores[:] = 0.3
         params.tail_scores[:] = 0.3
-        snap = attention_snapshot(params, hp)
-        out = export_attention(snap, vocab3, tmp_path / "att.csv")
+        snap = head_tail(params, hp)
+        out = export_attention(*snap, vocab3, tmp_path / "att.csv")
         line = out.read_text().strip().splitlines()[1]
         weights = [float(x) for x in line.split(",")[1:]]
         assert sum(weights) == pytest.approx(0.9)
@@ -63,8 +68,8 @@ class TestExportAttention:
     def test_relation_filter(self, tmp_path, vocab3):
         hp = Hyperparams(n=4, m=3, k=1, epochs=1)
         params = init_params(7, 3, hp, seed=3)
-        snap = attention_snapshot(params, hp)
-        out = export_attention(snap, vocab3, tmp_path / "att.csv", relations=["similar_to"])
+        snap = head_tail(params, hp)
+        out = export_attention(*snap, vocab3, tmp_path / "att.csv", relations=["similar_to"])
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("similar_to(H)")
@@ -72,23 +77,23 @@ class TestExportAttention:
     def test_unknown_relation_lists_valid_names(self, tmp_path, vocab3):
         hp = Hyperparams(n=4, m=3, k=1, epochs=1)
         params = init_params(7, 3, hp, seed=4)
-        snap = attention_snapshot(params, hp)
+        snap = head_tail(params, hp)
         with pytest.raises(ExportError, match="parent_of"):
-            export_attention(snap, vocab3, tmp_path / "att.csv", relations=["nope"])
+            export_attention(*snap, vocab3, tmp_path / "att.csv", relations=["nope"])
 
     def test_reexport_byte_identical(self, tmp_path, vocab3):
         hp = Hyperparams(n=4, m=3, k=2, epochs=1)
         params = init_params(7, 3, hp, seed=5)
-        snap = attention_snapshot(params, hp)
-        a = export_attention(snap, vocab3, tmp_path / "a.csv").read_bytes()
-        b = export_attention(snap, vocab3, tmp_path / "b.csv").read_bytes()
+        snap = head_tail(params, hp)
+        a = export_attention(*snap, vocab3, tmp_path / "a.csv").read_bytes()
+        b = export_attention(*snap, vocab3, tmp_path / "b.csv").read_bytes()
         assert a == b
 
     def test_json_mirror(self, tmp_path, vocab3):
         hp = Hyperparams(n=4, m=3, k=1, epochs=1)
         params = init_params(7, 3, hp, seed=6)
-        snap = attention_snapshot(params, hp)
-        export_attention(snap, vocab3, tmp_path / "att.csv")
+        snap = head_tail(params, hp)
+        export_attention(*snap, vocab3, tmp_path / "att.csv")
         doc = json.loads((tmp_path / "att.json").read_text())
         assert doc["columns"][0] == "relation_side"
         assert len(doc["rows"]) == 6

@@ -20,7 +20,6 @@ import conceptkb.cli as cli
 from conceptkb.data import FrequencyBins, Vocab
 from conceptkb.evaluation import EvalReport, RelationMetrics, report_text
 from conceptkb.export import export_attention, export_bin_comparison, per_relation_csv
-from conceptkb.model import AttentionSnapshot
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,11 +93,10 @@ def _sweep_csv(tmp: Path) -> bytes:
 
 
 def _attention(tmp: Path) -> Path:
-    snapshot = AttentionSnapshot(
-        head=np.array([[0.25, 0.75, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]]),
-        tail=np.array([[0.1, 0.2, 0.7], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]),
-    )
-    return export_attention(snapshot, _vocab(), tmp / "attention.csv", ["similar_to", "parent_of"])
+    head = np.array([[0.25, 0.75, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]])
+    tail = np.array([[0.1, 0.2, 0.7], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    return export_attention(head, tail, _vocab(), tmp / "attention.csv",
+                            ["similar_to", "parent_of"])
 
 
 CASES = {

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from _oracles import energy_itransf, energy_stranse, energy_transe
 from conceptkb.model import (
-    AttentionSnapshot,
+    SIDE_HEAD,
+    SIDE_TAIL,
     Hyperparams,
     InitError,
     attention,
-    attention_snapshot,
     attention_vector,
     init_params,
     project,
@@ -304,35 +304,36 @@ class TestInitParams:
 
 
 class TestAttentionSnapshot:
+    """The attention rows of every relation, as ``export attention`` writes them."""
+
     def test_sparse_rows_respect_k(self, tiny_params, tiny_hp):
-        snap = attention_snapshot(tiny_params, tiny_hp)
-        assert isinstance(snap, AttentionSnapshot)
-        assert ((snap.head != 0).sum(axis=1) <= tiny_hp.k).all()
-        np.testing.assert_allclose(snap.head.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_array_equal(snap.head != 0, tiny_params.head_assign.astype(bool))
+        head = attention(tiny_params, tiny_hp, SIDE_HEAD)
+        assert ((head != 0).sum(axis=1) <= tiny_hp.k).all()
+        np.testing.assert_allclose(head.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_array_equal(head != 0, tiny_params.head_assign.astype(bool))
 
     def test_symmetric_fixture(self, tiny_params, tiny_hp):
         params = tiny_params.copy()
         params.tail_scores[:] = params.head_scores
         params.tail_assign[:] = params.head_assign
-        snap = attention_snapshot(params, tiny_hp)
-        np.testing.assert_array_equal(snap.head, snap.tail)
+        np.testing.assert_array_equal(attention(params, tiny_hp, SIDE_HEAD),
+                                      attention(params, tiny_hp, SIDE_TAIL))
 
     def test_dense_l1_rows_are_raw_weights(self, tiny_params):
         hp = Hyperparams(n=5, m=4, k=2, epochs=1, attention_mode="dense_l1")
         params = tiny_params.copy()
         params.head_scores[:] = np.abs(params.head_scores) * 0.3
         params.tail_scores[:] = np.abs(params.tail_scores) * 0.3
-        snap = attention_snapshot(params, hp)
-        np.testing.assert_array_equal(snap.head, params.head_scores)
+        head = attention(params, hp, SIDE_HEAD)
+        np.testing.assert_array_equal(head, params.head_scores)
         # no softmax: rows need not sum to one
-        assert not np.allclose(snap.head.sum(axis=1), 1.0)
+        assert not np.allclose(head.sum(axis=1), 1.0)
 
     def test_dense_rows_cover_all_concepts(self, tiny_params):
         hp = Hyperparams(n=5, m=4, k=2, epochs=1, attention_mode="dense")
-        snap = attention_snapshot(tiny_params, hp)
-        assert (snap.head > 0).all()
-        np.testing.assert_allclose(snap.head.sum(axis=1), 1.0, atol=1e-9)
+        head = attention(tiny_params, hp, SIDE_HEAD)
+        assert (head > 0).all()
+        np.testing.assert_allclose(head.sum(axis=1), 1.0, atol=1e-9)
 
 
 MODES = ("sparse", "dense", "dense_l1")
