@@ -250,7 +250,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if len(split) == 0:
         raise DataError(f"split {args.split!r} is empty")
     bins = bin_relations(store, args.bins) if args.bins else None
-    out_dir = Path(args.out) if args.out else Path("eval_out")
+    resolved["out"] = args.out or "eval_out"  # the directory this run writes, not --config's
+    out_dir = Path(resolved["out"])
     _check_writable(out_dir, directory=True)
     if args.per_relation_csv:
         _check_writable(Path(args.per_relation_csv), directory=False)

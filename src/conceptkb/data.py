@@ -149,7 +149,8 @@ class TripleStore:
     ``(r·E + h)·E + t`` of the known triples, with ``E = n_entities``; the
     keys fit int64 only while ``n_relations · n_entities² < 2**63``, which
     :func:`build_store` enforces.  ``tph`` / ``hpt`` are the per-relation
-    mean tails-per-head and heads-per-tail used by Bernoulli side selection.
+    mean tails-per-head and heads-per-tail; ``head_prob``, tph/(tph+hpt) or
+    0.5 without training triples, is the Bernoulli rule's head probability.
     """
 
     n_entities: int
@@ -163,6 +164,7 @@ class TripleStore:
     all_known: np.ndarray
     tph: np.ndarray
     hpt: np.ndarray
+    head_prob: np.ndarray
 
 
 def build_store(
@@ -225,6 +227,7 @@ def build_store(
         all_known=all_known,
         tph=tph,
         hpt=hpt,
+        head_prob=np.where(tph + hpt > 0, tph / np.where(tph + hpt > 0, tph + hpt, 1.0), 0.5),
     )
 
 

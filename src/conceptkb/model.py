@@ -37,8 +37,9 @@ class Hyperparams:
     :meth:`effective_block_stop`.  ``block_budget`` caps the number of
     training triples sampled per relation when scoring single-concept
     costs; None means no cap.  ``n``, ``batch_size`` and an integer
-    ``block_budget`` must be at least 1, ``epochs``, ``block_every`` and an
-    integer ``block_stop`` at least 0, and every float finite.
+    ``block_budget`` must be at least 1, ``epochs``, ``block_every``, an
+    integer ``block_stop`` and every float but ``gamma`` and ``tau`` (both
+    positive) at least 0, and every float finite.
     """
 
     n: int = 50
@@ -63,8 +64,9 @@ class Hyperparams:
     block_budget: Optional[int] = 500
 
     def __post_init__(self):
-        for name, low in (("n", 1), ("batch_size", 1), ("block_budget", 1),
-                          ("epochs", 0), ("block_every", 0), ("block_stop", 0)):
+        for name, low in (("n", 1), ("batch_size", 1), ("block_budget", 1), ("epochs", 0),
+                          ("block_every", 0), ("block_stop", 0), ("lr", 0), ("init_noise_sd", 0),
+                          ("domain_lambda", 0), ("l1_coef", 0), ("proj_penalty", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
@@ -283,23 +285,26 @@ def attention_vector(params: ModelParams, hp: Hyperparams, r: int, side: str) ->
 
 
 def attention(
-    params: ModelParams, hp: Hyperparams, side: str, rels: np.ndarray | None = None
+    params: ModelParams, hp: Hyperparams, side: str | tuple, rels: np.ndarray | None = None
 ) -> np.ndarray:
     """Attention rows of one side for ``rels`` (all relations by default).
 
     One masked softmax over the ``(len(rels), m)`` scores: the mask is the
     support in sparse mode and all ones in dense mode; dense_l1 returns the
     raw weights clipped at zero.  Like :func:`sparse_softmax`, raises on an
-    empty support.
+    empty support.  A tuple of sides stacks their rows, side after side;
+    no row's bits depend on the others.
     """
     rows = slice(None) if rels is None else rels
-    scores = params.scores(side)[rows]
+    sides = [side] if isinstance(side, str) else side
+    scores, assign = (np.concatenate([get(s)[rows] for s in sides])
+                      for get in (params.scores, params.assign))
     if hp.attention_mode == "dense_l1":
         return np.maximum(scores, 0.0)
     if hp.attention_mode == "dense":
         z = scores / hp.tau
     else:
-        mask = params.assign(side)[rows] != 0
+        mask = assign != 0
         if not mask.any(axis=1).all():
             raise ValueError("support has no active entries")
         z = np.where(mask, scores / hp.tau, -np.inf)
@@ -307,48 +312,52 @@ def attention(
     return e / e.sum(axis=1, keepdims=True)
 
 
-def supports(
-    params: ModelParams, hp: Hyperparams, side: str, rels
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def supports(params: ModelParams, hp: Hyperparams, side: str | tuple, rels):
     """Attention of the ``side`` of the relations in ``rels`` and its support.
 
     Returns ``(alpha, act, weights)``.  ``alpha`` (U, m) holds the attention
     rows.  ``act`` (U, c) holds each relation's concepts of nonzero
     attention in ascending order; ``c`` is the widest row's count, and
     shorter rows are padded with concepts of zero weight.  ``weights``
-    (U, c) is their attention.
+    (U, c) is their attention.  A tuple of sides gives a list of one triple
+    per side, from one softmax and, when no row is padded, one search.
     """
-    alpha = attention(params, hp, side, np.asarray(rels, dtype=np.int64))
+    rels = np.asarray(rels, dtype=np.int64)
+    alpha = attention(params, hp, side, rels)
     live = alpha != 0
     counts = live.sum(axis=1)
     c = int(counts.max(initial=0))
     if (counts == c).all():
         # no row is padded: its concepts are its nonzero columns, in order
-        act = np.nonzero(live)[1].reshape(len(alpha), c)
-    else:
-        act = np.argsort(~live, axis=1, kind="stable")[:, :c]
+        found = (alpha, *(a.reshape(len(alpha), c) for a in (np.nonzero(live)[1], alpha[live])))
+        return found if isinstance(side, str) else [
+            tuple(a[i * len(rels):(i + 1) * len(rels)] for a in found) for i in range(len(side))]
+    if not isinstance(side, str):
+        return [supports(params, hp, s, rels) for s in side]
+    act = np.argsort(~live, axis=1, kind="stable")[:, :c]
     return alpha, act, alpha[np.arange(len(act))[:, None], act]
 
 
 def projections(
-    params: ModelParams, hp: Hyperparams, alpha: np.ndarray, act: np.ndarray, weights: np.ndarray
-) -> list[np.ndarray]:
-    """The ``(n, n)`` projections of rows of :func:`supports`.  In sparse
-    mode each costs c n^2 (c is at most the support size) and its bits do
-    not depend on the other rows; the dense modes contract all m concepts
-    of every row at once."""
+    params: ModelParams, hp: Hyperparams, alpha: np.ndarray, act: np.ndarray, weights: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``(U, n, n)`` projections of rows of :func:`supports`, written
+    into ``out`` when it is given.  In sparse mode each costs c n^2 (c is
+    at most the support size) and its bits do not depend on the other
+    rows; the dense modes contract all m concepts of every row in one
+    product, the one ``np.tensordot(alpha, D, axes=(1, 0))`` makes."""
     D = params.concept_tensor
+    out = np.empty((len(act), params.n, params.n)) if out is None else out
     if hp.attention_mode != "sparse":
-        return list(np.tensordot(alpha, D, axes=(1, 0)))
-    # one small array per relation: faster than a stacked gather, and the
-    # heap reuses it batch after batch
-    W = []
-    for idx, w in zip(act.tolist(), weights.tolist()):
-        proj = D[idx[0]] * w[0]
+        np.dot(alpha, D.reshape(len(D), -1), out=out.reshape(len(out), -1))
+        return out
+    # relation by relation: faster than a stacked gather
+    for proj, idx, w in zip(out, act.tolist(), weights.tolist()):
+        np.multiply(D[idx[0]], w[0], out=proj)
         for i, wi in zip(idx[1:], w[1:]):
             proj += D[i] * wi
-        W.append(proj)
-    return W
+    return out
 
 
 def vec_norm(u: np.ndarray, ell: int) -> float:

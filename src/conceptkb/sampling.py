@@ -54,14 +54,6 @@ class DomainSampler:
         return out
 
 
-def _head_probability(store: TripleStore, r: np.ndarray) -> np.ndarray:
-    """The Bernoulli rule's tph/(tph+hpt) for each relation id of the array
-    ``r``; 0.5 for a relation without training triples."""
-    tph = store.tph[r]
-    denom = tph + store.hpt[r]
-    return np.where(denom > 0, tph / np.where(denom > 0, denom, 1.0), 0.5)
-
-
 def _draw_replacement(
     rng: np.random.Generator,
     n_entities: int,
@@ -113,7 +105,7 @@ def corrupt_batch(
     if mode == "uniform" or (mode == "domain" and domain_side == "uniform"):
         replace_head = rng.random(B) < 0.5
     else:
-        replace_head = rng.random(B) < _head_probability(store, r)
+        replace_head = rng.random(B) < store.head_prob[r]
 
     in_domain = np.zeros(B, dtype=bool)
     if mode == "domain":

@@ -12,22 +12,15 @@ a hinged penalty on the squared projected norms, since the projected
 vectors are derived quantities rather than stored parameters.
 
 A batch is stable-sorted by relation once, so each relation's pairs form
-one contiguous slice that is projected and differentiated with a few
-matmuls.  One pass walks the sorted batch in windows of consecutive
-relations: a window's head and tail projections are composed, used for its
-forward projections, its entity-row gradients and its adjoints, and
-dropped before the next window's are composed, so at most
-:data:`SGD_WINDOW_BYTES` of composed matrices are alive at a time, next to
-the concept gradients of the whole batch.  The supports, the per-pair
-margins and penalty slacks and the loss sums cover the whole batch, so no
-bit depends on the window size.  Each relation side's score gradient
-reads its support concepts in sparse mode through a strided view of the
-concept tensor when the support holds one or two, and the softmax backward
-runs once per window and side over the window's (J, c) block.  Gradients
-come back in one format for every parameter array: the sorted unique ids
-of the touched rows and their gradient rows.  One batch's gradients are
-alive at a time: :func:`sgd_epoch` drops them before the next batch's are
-built.
+one contiguous slice.  One pass walks it in windows of consecutive
+relations, whose composed head and tail projections (at most
+:data:`SGD_WINDOW_BYTES`) serve the forward projections, the entity-row
+gradients and the adjoints; each of those is one ``np.matmul`` over a
+relation's head and tail.  The supports, margins, slacks and loss sums
+cover the whole batch, so no bit depends on the window size.  Entity and
+relation rows are summed with ``np.bincount``.  Gradients come back as
+the sorted unique ids of the touched rows of each array and their rows;
+:func:`sgd_epoch` keeps one batch's alive at a time.
 
 Block reassignment screens a relation side's concepts in float32, in
 chunks under a byte cap (:data:`BLOCK_CHUNK_BYTES`, L2-sized when BLAS
@@ -84,6 +77,8 @@ BLOCK_GATHER_COST = 25
 # byte cap of the composed (n, n) projections, both sides, alive at a time in
 # one SGD window; 4 MiB holds 26 relations at n=100 and all 18 at n=50
 SGD_WINDOW_BYTES = 4 * 2**20
+# signs of the head side's entity-row coefficients, positives then partners
+_HEAD_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 class TrainingError(RuntimeError):
@@ -131,6 +126,15 @@ def _softmax_backward(weights: np.ndarray, a: np.ndarray, tau: float) -> np.ndar
     return weights / tau * (a - np.vecdot(weights, a)[:, None])
 
 
+def _scatter_rows(inverse: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """The (count, n) sums of the ``rows`` by group ``inverse``: ``np.bincount`` adds
+    in input order from 0.0, the bytes of ``np.add.at`` into zeros, -0.0 included."""
+    n = rows.shape[1]
+    bins = (inverse[:, None] * n + np.arange(n)).ravel()
+    sums = np.bincount(bins, weights=rows.ravel(), minlength=count * n)  # int64 when empty
+    return sums.astype(np.float64, copy=False).reshape(count, n)
+
+
 def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.ndarray,
                 backward: bool):
     """The loss of a batch of (positive, corrupted) pairs and, with
@@ -144,9 +148,12 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
     ``u`` (2, B', n) the positive and corrupted difference vectors, for the
     B' pairs of one window.
 
-    The backward pass gives each relation side of a window its adjoint ``S``
-    and ``a_i = ⟨D_i, S⟩`` for the concepts of its support; sparse mode
-    reads those concepts through :func:`_support_planes`, a view for
+    Each product of a relation, the forward ``X W^T`` of its (2, 2L, n)
+    rows ``X``, the entity rows ``C W`` of its coefficients ``C`` and the
+    adjoints ``S = C^T X``, is one ``np.matmul`` over both sides: numpy makes
+    one GEMM per side, of that side's own shapes, so each side keeps the
+    bits of its own product.  Each side's ``a_i = ⟨D_i, S⟩`` for its support concepts
+    reads them in sparse mode through :func:`_support_planes`, a view for
     supports of one or two.  The window's ``a`` rows form one (J, c) block
     per side, since in dense mode an underflowing softmax can give the head
     and the tail unequal widths c, and :func:`_softmax_backward` turns each
@@ -156,10 +163,14 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
     neg = np.asarray(neg, dtype=np.int64).reshape(-1, 3)
     order = np.argsort(pos[:, 1], kind="stable")
     r = pos[order, 1]
-    uniq, starts, slot = np.unique(r, return_index=True, return_inverse=True)
-    bounds = np.append(starts, len(order)).tolist()
-    ids = np.stack([pos[order], neg[order]])[..., [0, 2]].transpose(2, 0, 1)
+    first = np.concatenate(([True], r[1:] != r[:-1]))[:len(r)]  # each relation's first pair
+    starts = first.nonzero()[0]
+    uniq = r[starts]
+    bounds = starts.tolist() + [len(r)]
     n, B, U = params.n, len(order), len(uniq)
+    # (side, k, B) entity ids in batch order, then sorted by relation
+    ends = np.concatenate((pos, neg)).T[::2].reshape(2, 2, B)
+    ids = ends[:, :, order]
     shared = hp.model != "transe"
     penalty = hp.proj_penalty > 0 and shared
     margins = np.empty(B)
@@ -174,12 +185,12 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
     if shared:
         # supports and weights of the whole batch, so that the padding and
         # the concept ids do not depend on the window
-        alphas, acts, wts = zip(*(supports(params, hp, side, uniq) for side in (SIDE_HEAD, SIDE_TAIL)))
+        alphas, acts, wts = zip(*supports(params, hp, (SIDE_HEAD, SIDE_TAIL), uniq))
     if backward and shared:
         D = params.concept_tensor
         sparse = hp.attention_mode == "sparse"
         softmax = hp.attention_mode != "dense_l1"
-        cids = np.unique(np.concatenate([act[w != 0] for act, w in zip(acts, wts)]))
+        cids = np.bincount(np.concatenate([a[w != 0] for a, w in zip(acts, wts)])).nonzero()[0]
         concept = np.zeros((len(cids), n, n))
         # one concept at a time, in place: a stacked fancy-index add is slower
         planes, tmp = list(concept), np.empty((n, n))
@@ -189,22 +200,23 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
         scores = np.zeros((2, U, params.m))
 
     for j0 in range(0, U, per):
-        W = p = blocks = None  # the last window's arrays go before the next window's are made
+        W = p = X = w = None  # the last window's arrays (w views W) go before the next's are made
         j1 = min(j0 + per, U)
         s0, e0 = bounds[j0], bounds[j1]
         # each relation of the window with its slice of the window's pairs
         spans = [(j, bounds[j] - s0, bounds[j + 1] - s0) for j in range(j0, j1)]
         x = params.entity_emb[ids[:, :, s0:e0]]
         if shared:
-            W = [projections(params, hp, alphas[side][j0:j1], acts[side][j0:j1], wts[side][j0:j1])
-                 for side in range(2)]
-            # each slice's gathered rows of one side as one (2L, n) block, for
-            # its forward projection and again for its adjoint
-            blocks = [[x[side, :, s:e].reshape(-1, n) for _, s, e in spans] for side in range(2)]
-            p = np.empty_like(x)
+            W = np.empty((2, j1 - j0, n, n))
             for side in range(2):
-                for (_, s, e), xb, proj in zip(spans, blocks[side], W[side]):
-                    p[side, :, s:e] = (xb @ proj.T).reshape(2, -1, n)
+                projections(params, hp, alphas[side][j0:j1], acts[side][j0:j1], wts[side][j0:j1],
+                            out=W[side])
+            # each slice's gathered rows as one (2, 2L, n) block, for its
+            # forward projection and again for its adjoints
+            X = [x[:, :, s:e].reshape(2, -1, n) for _, s, e in spans]
+            p = np.empty_like(x)
+            for (_, s, e), xb, w in zip(spans, X, W.transpose(1, 0, 3, 2)):
+                p[:, :, s:e] = np.matmul(xb, w).reshape(2, 2, -1, n)
         else:
             p = x
 
@@ -222,7 +234,8 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
         np.subtract(g[0], g[1], out=rel_rows[s0:e0])
         # coefficients of the gathered entity rows: +g_pos, -g_neg on the head
         # side and -g_pos, +g_neg on the tail side, plus the penalty on positives
-        coef = np.stack([g, -g]) * np.array([1.0, -1.0])[:, None, None]
+        coef = np.empty((2,) + g.shape)
+        np.negative(np.multiply(g, _HEAD_SIGNS, out=coef[0]), out=coef[1])
         if penalty:
             coef[:, 0] += 2.0 * hp.proj_penalty * p[:, 0] * (slack[:, s0:e0] > 0)[..., None]
         if not shared:
@@ -231,19 +244,18 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
         rows_w = rows[:, :, s0:e0]
         if softmax:
             grad_in = [np.empty((j1 - j0, act.shape[1])) for act in acts]
-        for i, (j, s, e) in enumerate(spans):
-            for side in range(2):
-                c = coef[side, :, s:e].reshape(-1, n)
-                rows_w[side, :, s:e] = (c @ W[side][i]).reshape(2, -1, n)
-                S = c.T @ blocks[side][i]
-                for k, w in zip(slots[side][j], weights[side][j]):
-                    if w:
-                        planes[k] += np.multiply(S, w, out=tmp)
+        for i, ((j, s, e), xb, w) in enumerate(zip(spans, X, W.swapaxes(0, 1))):
+            c = coef[:, :, s:e].reshape(2, -1, n)
+            rows_w[:, :, s:e] = np.matmul(c, w).reshape(2, 2, -1, n)
+            for side, S in enumerate(np.matmul(c.swapaxes(1, 2), xb)):
+                for k, wk in zip(slots[side][j], weights[side][j]):
+                    if wk:
+                        planes[k] += np.multiply(S, wk, out=tmp)
                 if not softmax:
                     sign = np.sign((params.head_scores, params.tail_scores)[side][uniq[j]])
                     scores[side, j] = np.einsum("ijk,jk->i", D, S) + hp.l1_coef * (e - s) * sign
                 elif sparse:
-                    grad_in[side][i] = np.einsum("ijk,jk->i", _support_planes(D, act_ids[side][j]), S)
+                    np.einsum("ijk,jk->i", _support_planes(D, act_ids[side][j]), S, out=grad_in[side][i])
                 else:
                     grad_in[side][i] = np.einsum("ijk,jk->i", D, S)[acts[side][j]]
         if softmax:
@@ -256,7 +268,7 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
     loss = float(np.maximum(margins, 0.0).sum())
     if penalty:
         loss += hp.proj_penalty * (
-            float(np.clip(slack[0], 0, None).sum()) + float(np.clip(slack[1], 0, None).sum())
+            float(np.maximum(slack[0], 0.0).sum()) + float(np.maximum(slack[1], 0.0).sum())
         )
     if hp.attention_mode == "dense_l1" and shared:
         mass = (np.abs(params.head_scores[uniq]).sum(axis=1)
@@ -267,13 +279,13 @@ def _batch_pass(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: np.n
 
     # entity rows summed in the unsorted batch order: heads, tails,
     # corrupted heads, corrupted tails
-    inv = np.argsort(order)
-    uids, uinv = np.unique(ids[:, :, inv].transpose(1, 0, 2), return_inverse=True)
-    ent = np.zeros((len(uids), n))
-    np.add.at(ent, uinv.ravel(), rows[:, :, inv].transpose(1, 0, 2, 3).reshape(-1, n))
+    flat = ends.transpose(1, 0, 2).ravel()
+    uids = np.sort(flat)
+    uids = uids[np.concatenate(([True], uids[1:] != uids[:-1]))[:len(uids)]]
+    batch_rows = rows.transpose(1, 0, 2, 3)[:, :, np.argsort(order)].reshape(-1, n)
+    ent = _scatter_rows(np.searchsorted(uids, flat), batch_rows, len(uids))
     # relation rows in sorted order, which is the batch order within a relation
-    rel = np.zeros((U, n))
-    np.add.at(rel, slot, rel_rows)
+    rel = _scatter_rows(np.cumsum(first) - 1, rel_rows, U)
     grads = {"entity_emb": (uids, ent), "relation_emb": (uniq, rel)}
     if shared:
         grads.update(concept_tensor=(cids, concept),
@@ -293,8 +305,8 @@ def batch_gradients(params: ModelParams, hp: Hyperparams, pos: np.ndarray, neg: 
     array the model trains (only the two embeddings for transe) to
     ``(ids, rows)``: the sorted unique ids of the rows the batch touches and
     their gradients.  Each relation slice of the sorted batch costs one
-    matmul per side for the entity rows and one for the ``(n, n)`` adjoint
-    ``S`` that feeds its concepts and scores.  Every sum runs in the order
+    two-sided matmul for the entity rows and one for the ``(n, n)`` adjoints
+    ``S`` that feed its concepts and scores.  Every sum runs in the order
     of the unsorted batch, so the result does not depend on the sort.
     """
     return _batch_pass(params, hp, pos, neg, backward=True)
@@ -314,19 +326,20 @@ def apply_gradients(params: ModelParams, hp: Hyperparams, grads: dict) -> None:
     lr = hp.lr
     uids, ent_acc = grads["entity_emb"]
     delta = lr * ent_acc
-    moved = np.any(delta != 0.0, axis=1)
-    if moved.any():
-        uids = uids[moved]
-        rows = params.entity_emb[uids] - delta[moved]
-        nrm = np.linalg.norm(rows, axis=1, keepdims=True)
-        bad = np.flatnonzero(~np.isfinite(nrm[:, 0]))
-        if len(bad):
-            raise TrainingError(
-                f"entity row {int(uids[bad[0]])} has norm {float(nrm[bad[0], 0])!r} after "
-                f"a step (lr={hp.lr}); lower the learning rate"
-            )
-        nrm[nrm == 0] = 1.0
-        params.entity_emb[uids] = rows / nrm
+    moved = np.logical_or.reduce(delta != 0.0, axis=1)
+    if not moved.all():
+        uids, delta = uids[moved], delta[moved]
+    rows = params.entity_emb[uids] - delta
+    # np.linalg.norm's sum of squares, without its dispatch
+    nrm = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+    bad = np.flatnonzero(~np.isfinite(nrm[:, 0]))
+    if len(bad):
+        raise TrainingError(
+            f"entity row {int(uids[bad[0]])} has norm {float(nrm[bad[0], 0])!r} after "
+            f"a step (lr={hp.lr}); lower the learning rate"
+        )
+    nrm[nrm == 0] = 1.0
+    params.entity_emb[uids] = rows / nrm
 
     for name, (ids, rows) in grads.items():
         if name == "entity_emb":
@@ -677,7 +690,8 @@ def train(
     sparse-attention shared-concept model).  Optional validation metrics
     are recorded every ``eval_every`` epochs; with ``early_stop_patience``
     > 0 training stops once hits@10 has not improved for that many epochs.
-    ``on_epoch(state, epoch, loss)``, if given, runs at the end of every epoch.
+    ``on_epoch(state, epoch, loss)``, if given, runs at the end of every
+    epoch, the stopping one included.
     ``workers`` is the thread count of validation and of block updates.
     Each block update's record holds its wall time in ``seconds``.
     Parameters that ranking or block scoring cannot take raise
@@ -729,8 +743,9 @@ def train(
                 history["stopped_epoch"] = epoch
                 if log_fn:
                     log_fn(f"early stop at epoch {epoch} (best hits@10 at {best_epoch})")
-                break
 
         if on_epoch:
             on_epoch(state, epoch, loss)
+        if history["stopped_epoch"]:
+            break
     return state.params, history

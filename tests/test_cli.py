@@ -261,6 +261,25 @@ class TestRunOptions:
             assert history["stopped_epoch"] == 2 and len(history["epochs"]) == 2
             assert log[-1] == "early stop at epoch 2 (best hits@10 at 1)"
 
+    def test_early_stop_writes_due_epoch_checkpoint(self, data_dir, tmp_path, monkeypatch):
+        """A run that stops early at epoch 2 with ``--checkpoint-every 1``
+        saves ``checkpoint_epoch2.npz``, holding the final arrays."""
+        import conceptkb.training as training
+
+        flat = EvalReport(5.0, 50.0, {}, None, "both", 1)
+        monkeypatch.setattr(training, "evaluate", lambda *args, **kw: flat)
+        out = tmp_path / "run"
+        assert main(["train", "--data-dir", str(data_dir), "--out", str(out), *TRAIN_ARGS,
+                     "--epochs", "3", "--eval-every", "1", "--early-stop-patience", "1",
+                     "--checkpoint-every", "1"]) == EXIT_OK
+        assert json.loads((out / "history.json").read_text())["stopped_epoch"] == 2
+        assert sorted(p.name for p in out.glob("checkpoint_epoch*.npz")) == [
+            "checkpoint_epoch1.npz", "checkpoint_epoch2.npz"]
+        last, _, _ = load_checkpoint(out / "checkpoint_epoch2.npz")
+        final, _, _ = load_checkpoint(out / "checkpoint.npz")
+        for field in dataclasses.fields(final):
+            np.testing.assert_array_equal(getattr(last, field.name), getattr(final, field.name))
+
     def test_default_out_directory(self, data_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--data-dir", str(data_dir), *TRAIN_ARGS, "--epochs", "0"]) == EXIT_OK
@@ -297,6 +316,16 @@ class TestBadValues:
         err = self.refuse(key, "-1", form, tmp_path, capsys)
         assert err == f"error: {key} must be at least 0, got -1\n"
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("key", ["lr", "init_noise_sd", "domain_lambda", "l1_coef",
+                                     "proj_penalty"])
+    def test_negative_float(self, tmp_path, capsys, key, form):
+        """A negative step climbs the loss, and a negative noise, penalty or
+        lambda would silently switch its term off; zero stays allowed."""
+        err = self.refuse(key, "-1", form, tmp_path, capsys)
+        assert err == f"error: {key} must be at least 0, got -1.0\n"
+        assert main(["train", "--dry-run", train_flag(key), "0"]) == EXIT_OK
+
 
 @pytest.fixture(scope="module")
 def trained(data_dir, tmp_path_factory):
@@ -321,6 +350,19 @@ class TestEvalCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["filtered"] is True
         assert "mean rank" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_config_records_eval_out(self, data_dir, trained, tmp_path, monkeypatch, flag):
+        """The ``config.cfg`` eval writes names its own output directory,
+        not the training run's ``out`` that ``--config`` carries."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"data_dir={data_dir}\nout=run\n", encoding="utf-8")
+        out = "reports" if flag else "eval_out"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(trained),
+                     *(["--out", out] if flag else [])]) == EXIT_OK
+        assert read_config_file(tmp_path / out / "config.cfg")["out"] == out
+        assert not (tmp_path / "run").exists()
 
     def test_workers_auto(self, data_dir, trained, tmp_path):
         out = tmp_path / "eval"

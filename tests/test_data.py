@@ -255,6 +255,9 @@ class TestStoreOracle:
                 assert got[r].dtype == np.int64 and got[r].tolist() == dom
         assert store.tph.tobytes() == np.array(tph).tobytes()
         assert store.hpt.tobytes() == np.array(hpt).tobytes()
+        # the Bernoulli rule's head probability, 0.5 for a relation without training triples
+        want = [a / (a + b) if a + b > 0 else 0.5 for a, b in zip(tph, hpt)]
+        assert store.head_prob.tobytes() == np.array(want).tobytes()
         assert store.all_known.dtype == np.int64 and store.all_known.tolist() == known
 
     def test_empty_train(self):
@@ -262,6 +265,7 @@ class TestStoreOracle:
                             n_entities=4, n_relations=3)
         assert store.by_relation == {} and store.head_domain == {} and store.tail_domain == {}
         assert store.tph.tolist() == [0.0] * 3 and store.hpt.tolist() == [0.0] * 3
+        assert store.head_prob.tolist() == [0.5] * 3
         assert store.all_known.tolist() == [(1 * 4 + 0) * 4 + 2]
 
 

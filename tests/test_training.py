@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import _oracles
 import _synth
 from conceptkb.bounds import _matrix_norm
+from conceptkb.data import build_store
 from conceptkb.model import Hyperparams, attention_vector, init_params, projections, supports
-from conceptkb.sampling import DomainSampler
+from conceptkb.sampling import DomainSampler, corrupt_batch
 from conceptkb.training import (
     TrainingError,
     apply_gradients,
@@ -449,6 +451,94 @@ class TestBackwardKernels:
         apply_gradients(params, hp, grads)
         for name in PARAM_ARRAYS[1:]:
             assert getattr(params, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def wn18_like_store(seed=0, n_entities=800, n_relations=18, n_train=4000):
+    """A WN18-like training split: Zipf relation frequencies over 18
+    relations, per-relation fan-outs for the Bernoulli rule."""
+    rng = np.random.default_rng(seed)
+    freq = 1.0 / np.arange(1, n_relations + 1)
+    r = rng.choice(n_relations, n_train, p=freq / freq.sum())
+    h = rng.integers(n_entities, size=n_train)
+    t = (h * (1 + r) + rng.integers(4, size=n_train)) % n_entities
+    return build_store(np.stack([h, r, t], axis=1), n_entities=n_entities, n_relations=n_relations)
+
+
+def assert_bytes_equal(got, want, what):
+    """Equal shapes and bytes, -0.0 and NaN payloads included."""
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), what
+
+
+class TestByteOracle:
+    """The batch pass and the step against the verbatim reference in
+    ``tests/_oracles.py`` (one matmul per relation side, ``np.add.at``
+    scatters): loss, every grads array and the stepped parameters byte for
+    byte."""
+
+    @staticmethod
+    def step_both(params, ref, hp, pos, neg, what):
+        loss, grads = batch_gradients(params, hp, pos, neg)
+        want_loss, want = _oracles.oracle_batch_gradients(ref, hp, pos, neg)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), what
+        assert sorted(grads) == sorted(want), what
+        for name in want:
+            for got_a, want_a in zip(grads[name], want[name]):
+                assert_bytes_equal(got_a, want_a, (what, name))
+        apply_gradients(params, hp, grads)
+        _oracles.oracle_apply_gradients(ref, hp, want)
+        for name in PARAM_ARRAYS:
+            assert_bytes_equal(getattr(params, name), getattr(ref, name), (what, name))
+
+    def test_window_instances(self):
+        for i, (hp, params, pos, neg) in enumerate(window_instances()):
+            self.step_both(params, params.copy(), hp, pos, neg, i)
+
+    @pytest.mark.parametrize("mode,model", [("sparse", "itransf"), ("dense", "itransf"),
+                                            ("dense_l1", "itransf"), ("sparse", "stranse"),
+                                            ("sparse", "transe")])
+    def test_stepped_wn18_like_batches(self, mode, model):
+        """200 consecutive batches of 20 at n = 50, m = 30, k = 2 (stranse:
+        m = 36, k = 1), corrupted by the Bernoulli rule and stepped, on one
+        trajectory whose batches take ell 1 and 2 with penalty 0 and 1 in
+        turn (the two trivial models: 100 batches)."""
+        store = wn18_like_store()
+        shape = dict(m=36, k=1) if model == "stranse" else dict(m=30, k=2)
+        hps = [Hyperparams(n=50, gamma=5.0, tau=0.25, ell=ell, lr=0.01, batch_size=20, epochs=1,
+                           attention_mode=mode, model=model, proj_penalty=penalty,
+                           init_noise_sd=0.05, **shape)
+               for ell in (1, 2) for penalty in (0.0, 1.0)]
+        params = init_params(store.n_entities, store.n_relations, hps[0], seed=3)
+        if mode != "dense_l1":
+            params.head_scores[:] = np.random.default_rng(4).normal(0, 1, params.head_scores.shape)
+        ref = params.copy()
+        rng = np.random.default_rng(5)
+        order = rng.permutation(len(store.train))
+        sampler = DomainSampler(store, hps[0].domain_lambda, rng)
+        for b in range(200 if model == "itransf" else 100):
+            pos = store.train[order[20 * b:20 * b + 20]]
+            neg = corrupt_batch(pos, store, "bernoulli", sampler)
+            self.step_both(params, ref, hps[b % 4], pos, neg, b)
+
+    def test_bincount_scatter_matches_add_at(self):
+        """Repeated ids, -0.0 rows and ids without rows: the bytes of
+        ``np.add.at`` into zeros."""
+        import conceptkb.training as training
+
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(60, 5)) * 10.0 ** rng.integers(-8, 9, size=(60, 1))
+        rows[::4] = -0.0
+        rows[1::7, 2] = 0.0
+        inverse = rng.integers(9, size=60)
+        inverse[:8] = 3
+        want = np.zeros((12, 5))
+        np.add.at(want, inverse, rows)
+        got = training._scatter_rows(inverse, rows, 12)
+        assert_bytes_equal(got, want, "scatter")
+        assert (got == 0).any() and not np.signbit(got[got == 0]).any()  # 0.0 + -0.0 is 0.0
+        for count in (0, 2):
+            assert_bytes_equal(training._scatter_rows(inverse[:0], rows[:0], count),
+                               np.zeros((count, 5)), count)
 
 
 class TestSgdEpoch:
